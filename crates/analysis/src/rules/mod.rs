@@ -5,7 +5,7 @@
 //! | `LCL-A01` | no allocation in hot-path functions |
 //! | `LCL-A02` | no locks or channels in hot-path functions |
 //! | `LCL-A03` | no `unsafe` in hot-path functions |
-//! | `LCL-A04` | no allocation or file I/O in the per-round shard pass |
+//! | `LCL-A04` | no file I/O in hot-path functions |
 //! | `LCL-D01` | no order-dependent `HashMap`/`HashSet` iteration in library code |
 //! | `LCL-D02` | no wall-clock (`Instant`/`SystemTime`) values in library code |
 //! | `LCL-D03` | no thread-identity-dependent logic in library code |
@@ -27,7 +27,6 @@ pub mod crosscheck;
 pub mod determinism;
 pub mod hotpath;
 pub mod hygiene;
-pub mod shardpath;
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FnInfo;
@@ -48,7 +47,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("LCL-A03", "hot-path purity: no unsafe blocks"),
     (
         "LCL-A04",
-        "shard-pass purity: no allocation or file I/O inside the per-round shard pass",
+        "hot-path purity: no file I/O (spill traffic happens between passes)",
     ),
     (
         "LCL-D01",
@@ -96,7 +95,6 @@ pub fn run_all(files: &[SourceFile], root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         hotpath::check(file, &mut findings);
-        shardpath::check(file, &mut findings);
         determinism::check(file, &mut findings);
         hygiene::check(file, &mut findings);
     }

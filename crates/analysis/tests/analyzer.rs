@@ -43,6 +43,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
             ("LCL-A02", "crates/local/src/engine.rs", 9),
             ("LCL-A03", "crates/local/src/engine.rs", 10),
             ("LCL-A01", "crates/local/src/engine.rs", 17),
+            ("LCL-A04", "crates/local/src/engine.rs", 23),
         ],
         "{}",
         report.human()
@@ -51,6 +52,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
     assert_eq!(report.findings[0].item, "BadCast::step");
     assert_eq!(report.findings[2].item, "step_region");
     assert_eq!(report.findings[5].item, "Inbox::gather");
+    assert_eq!(report.findings[6].item, "SlotRegion::commit");
     // The `#[cfg(test)]` allocation in the protocol fixture is not
     // reported: hot-path rules skip test code.
     assert_eq!(report.files_scanned, 2);
@@ -128,25 +130,28 @@ fn crosscheck_churn_fixture_triggers_exact_rules_and_spans() {
 
 #[test]
 fn shardpath_fixture_triggers_exact_rules_and_spans() {
+    // The packed store's entries in the same hot-path table: allocations
+    // are `LCL-A01`, file I/O is `LCL-A04`.
     let report = run_fixture("shardpath");
     assert_eq!(
         spans(&report),
         vec![
-            ("LCL-A04", "crates/shard/src/runner.rs", 6),
-            ("LCL-A04", "crates/shard/src/runner.rs", 7),
-            ("LCL-A04", "crates/shard/src/runner.rs", 8),
-            ("LCL-A04", "crates/shard/src/runner.rs", 14),
-            ("LCL-A04", "crates/shard/src/runner.rs", 15),
+            ("LCL-A01", "crates/shard/src/store.rs", 6),
+            ("LCL-A01", "crates/shard/src/store.rs", 7),
+            ("LCL-A04", "crates/shard/src/store.rs", 8),
+            ("LCL-A04", "crates/shard/src/store.rs", 14),
+            ("LCL-A01", "crates/shard/src/store.rs", 15),
         ],
         "{}",
         report.human()
     );
-    assert_eq!(report.findings[0].item, "shard_pass");
+    assert_eq!(report.findings[0].item, "PackedRegion::stage");
     assert_eq!(report.findings[3].item, "capture_halos");
-    // The barrier-time helper and the `#[cfg(test)]` fn named
-    // `shard_pass` are not reported: only the two pass fns are policed,
-    // and never in test code.
+    // The between-passes helper and the `#[cfg(test)]` fn named
+    // `capture_halos` are not reported: only the per-round fns are
+    // policed, and never in test code.
     assert!(report.findings.iter().all(|f| f.item != "refill_residency"));
+    assert_eq!(report.files_scanned, 1);
 }
 
 #[test]

@@ -17,3 +17,9 @@ impl Inbox {
         format!("gathered") // line 17: LCL-A01 (alloc macro in hot type)
     }
 }
+
+impl<M> StoreRegion<M> for SlotRegion<'_, M> {
+    fn commit(&mut self, out: &mut Sink) {
+        out.flush(); // line 23: LCL-A04 (I/O in a slot-store method)
+    }
+}

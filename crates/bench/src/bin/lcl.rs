@@ -350,18 +350,18 @@ impl<'a> Flags<'a> {
 }
 
 /// Builds the optional `ShardConfig` from `--shards`, `--max-resident`,
-/// and `--packing`. Residency and packing only make sense with a shard
-/// count, so they require `--shards`.
+/// and `--packing` (`--shards 0` is the monolithic engine). Residency and
+/// packing only make sense with a shard count, so they require `--shards`.
 fn shard_flags(flags: &Flags<'_>) -> Result<Option<ShardConfig>, String> {
     let shards: Option<usize> = flags.parsed("--shards")?;
     let max_resident: Option<usize> = flags.parsed("--max-resident")?;
     let packing = flags.switch("--packing");
     match shards {
-        Some(shards) => Ok(Some(ShardConfig {
+        Some(shards) => Ok(ShardConfig::from_flags(
             shards,
-            max_resident: max_resident.unwrap_or(0),
+            max_resident.unwrap_or(0),
             packing,
-        })),
+        )),
         None if max_resident.is_some() || packing => {
             Err("--max-resident/--packing need --shards <S>".to_string())
         }

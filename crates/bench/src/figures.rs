@@ -3,9 +3,8 @@
 //!
 //! Each figure is a function holding only *declarations* — instance
 //! specs, seeds, and table layout. Execution, seeding, verification, and
-//! parallelism live in the harness; the experiment binaries under
-//! `src/bin/` are one-line wrappers over [`run_figure`], and the `lcl`
-//! CLI dispatches here for `lcl sweep <figure>`.
+//! parallelism live in the harness; the `lcl` CLI dispatches here
+//! through [`run_figure`] for `lcl sweep <figure>`.
 
 use crate::measure::{fit_points, fit_waiting, log_star_power, Point};
 use crate::report::{f1, f3, save_json, Table};

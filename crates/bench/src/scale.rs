@@ -453,17 +453,17 @@ fn throughput_gate(threshold: f64) -> Result<(), String> {
         serde_json::from_str(&text).map_err(|e| format!("cannot parse BENCH_engine.json: {e}"))?;
     // A sharded baseline is re-measured sharded: the gate compares the
     // executor that produced the committed numbers, not the monolithic
-    // engine. `shards = 0` (or a pre-sharding baseline) means monolithic.
-    let baseline_shards = field(&baseline, "shards").and_then(as_f64).unwrap_or(0.0) as usize;
-    let shard = (baseline_shards > 0).then(|| ShardConfig {
-        shards: baseline_shards,
-        max_resident: field(&baseline, "max_resident")
+    // engine. `shards = 0` (or a pre-sharding baseline) means monolithic,
+    // the same mapping `lcl sweep --shards` used to write the header.
+    let shard = ShardConfig::from_flags(
+        field(&baseline, "shards").and_then(as_f64).unwrap_or(0.0) as usize,
+        field(&baseline, "max_resident")
             .and_then(as_f64)
             .unwrap_or(0.0) as usize,
-        packing: field(&baseline, "packing")
+        field(&baseline, "packing")
             .and_then(as_bool)
             .unwrap_or(false),
-    });
+    );
     let engine_cfg = EngineConfig {
         chunk_size: field(&baseline, "chunk_size")
             .and_then(as_f64)

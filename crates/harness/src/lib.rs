@@ -70,8 +70,6 @@ pub mod instance;
 pub mod plan_cache;
 pub mod planner;
 pub mod registry;
-#[cfg(any(test, feature = "direct-oracle"))]
-pub mod replay;
 pub mod session;
 
 pub use adapters::{run_on_construction, WeightedRegime};
@@ -91,6 +89,4 @@ pub use planner::{
     canonical_instance, classify, plan, ClassSource, Classification, Plan, PlanError, SolverFit,
 };
 pub use registry::{find, registry, resolver, Resolver};
-#[cfg(any(test, feature = "direct-oracle"))]
-pub use replay::{replay_chunked, replay_factory, replay_round_budget, ReplayProtocol};
 pub use session::{FitSummary, ScaleConfig, Session, SessionBuilder, SweepPoint, SweepReport};

@@ -38,10 +38,21 @@
 //!   not `O(n)`. When a round ends with no messages in flight the engine
 //!   fast-forwards to the earliest wake instead of idling round by round.
 //!
-//! Results are bit-identical for every chunk size and thread count: a
-//! node's step depends only on its own state and its inbox view, and the
-//! skip conditions are functions of per-node facts (mail present, hint
-//! due), never of chunk layout. Wake hints are *pure scheduling hints*: a
+//! # One round loop, two stores
+//!
+//! [`run_with_store`] is the only round loop. It owns scheduling: the
+//! region split, the chunk visit decision, the thread fan-out,
+//! termination and wake bookkeeping, the `ArenaChecker` calls, the
+//! round limit and the fast-forward. Where messages live between rounds
+//! is a [`MessageStore`], chosen statically: the slot arenas above (one
+//! pass over all nodes, used by [`run_sync_with`]), or `lcl_shard`'s
+//! bit-packed, spillable shard arenas (one pass per shard, with shard
+//! residency and halo capture as the store's pass hooks).
+//!
+//! Results are bit-identical for every chunk size, thread count and
+//! store: a node's step depends only on its own state and its inbox view,
+//! and the skip conditions are functions of per-node facts (mail present,
+//! hint due), never of chunk layout. Wake hints are *pure scheduling hints*: a
 //! protocol promises that the skipped steps would have been no-ops, so the
 //! reference engine (`crate::reference_engine`, test/feature-gated), which
 //! steps every running node every round, remains a valid differential
@@ -486,7 +497,9 @@ pub struct EngineConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of contiguous node-range shards to split the CSR into
-    /// (shard boundaries align to chunk boundaries). `0` means one shard.
+    /// (shard boundaries align to chunk boundaries). `0` means one shard
+    /// to the sharded executor; front-ends map a zero count to the
+    /// monolithic engine instead ([`ShardConfig::from_flags`]).
     pub shards: usize,
     /// Maximum number of shard arena sets resident in memory at once;
     /// the rest spill to a per-run on-disk pool. `0` means "all resident"
@@ -505,23 +518,23 @@ pub struct ShardConfig {
 pub const SHARD_KNOBS: &[&str] = &["shards", "max_resident", "packing"];
 
 impl ShardConfig {
+    /// The engine choice named by the front-ends' shard flags (`lcl
+    /// run`/`sweep --shards`, `lcld` solve requests, the
+    /// `BENCH_engine.json` header): `shards == 0` is the monolithic
+    /// engine (`None`), any other count the sharded executor.
+    #[must_use]
+    pub fn from_flags(shards: usize, max_resident: usize, packing: bool) -> Option<ShardConfig> {
+        (shards > 0).then_some(ShardConfig {
+            shards,
+            max_resident,
+            packing,
+        })
+    }
+
     /// Shard count with the `0 = one shard` default applied.
     #[must_use]
     pub fn resolved_shards(&self) -> usize {
         self.shards.max(1)
-    }
-
-    /// Residency limit with defaults applied: `0` means all shards
-    /// resident, other values are clamped to at least 1 and at most the
-    /// shard count.
-    #[must_use]
-    pub fn resolved_max_resident(&self) -> usize {
-        let shards = self.resolved_shards();
-        if self.max_resident == 0 {
-            shards
-        } else {
-            self.max_resident.clamp(1, shards)
-        }
     }
 }
 
@@ -575,19 +588,11 @@ impl EngineConfig {
     }
 }
 
-/// Lifecycle of a node inside a run. Stale arena slots of `Done` nodes are
-/// invalidated by their delivery-round stamps, so no clearing phase exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeState {
-    Running,
-    Done,
-}
-
 /// The reverse-edge permutation: for each directed edge `offsets[v] + p`
 /// (node `v`, port `p`, neighbor `w`), the index of the reverse edge
 /// `(w -> v)` in the CSR layout. Computed once per run in `O(n)`.
-/// Public for the sharded executor (`lcl_shard`), which shares the
-/// monolithic engine's arena geometry.
+/// Public for the shard partitioner (`lcl_shard`), which routes halos
+/// through it.
 #[must_use]
 pub fn reverse_edges(tree: &Tree) -> Vec<u32> {
     let offsets = tree.offsets();
@@ -616,9 +621,9 @@ pub fn reverse_edges(tree: &Tree) -> Vec<u32> {
 }
 
 /// Region cut points: `workers + 1` node indices, every internal cut on a
-/// chunk boundary, chunks distributed as evenly as possible. Public for
-/// the sharded executor, whose shard partitioner and intra-shard worker
-/// split both reuse this geometry.
+/// chunk boundary, chunks distributed as evenly as possible. The round
+/// loop cuts every pass into worker regions with it; public for the shard
+/// partitioner, which cuts shards the same way.
 #[must_use]
 pub fn region_bounds(n: usize, chunk_size: usize, workers: usize) -> Vec<usize> {
     let chunks = n.div_ceil(chunk_size);
@@ -730,13 +735,200 @@ impl ArenaChecker {
     }
 }
 
+/// The CSR geometry every message store addresses slots by: directed edge
+/// `offsets[v] + p` is node `v`'s port `p`, `adjacency` names its far end
+/// and `rev` its reversal ([`reverse_edges`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Csr<'a> {
+    /// First slot of every node, `n + 1` entries ([`Tree::offsets`]).
+    pub offsets: &'a [u32],
+    /// Far end of every directed edge ([`Tree::adjacency`]).
+    pub adjacency: &'a [u32],
+    /// The reverse-edge permutation.
+    pub rev: &'a [u32],
+}
+
+/// What a [`MessageStore`] is built from at run start. The machines
+/// already exist, so a store may size itself from per-node hints
+/// ([`Protocol::message_bits`]).
+pub struct StoreSetup<'a, P> {
+    /// The tree being run.
+    pub tree: &'a Tree,
+    /// Its slot geometry.
+    pub csr: Csr<'a>,
+    /// Every node's context.
+    pub contexts: &'a [NodeContext],
+    /// Every node's freshly built machine.
+    pub machines: &'a [Option<P>],
+    /// Resolved chunk size.
+    pub chunk_size: usize,
+    /// Resolved worker count: the most regions any pass is split into.
+    pub workers: usize,
+}
+
+/// Where messages live between rounds, behind the one round loop
+/// ([`run_with_store`]). The loop steps the node range in *passes* cut at
+/// [`passes`](MessageStore::passes); each pass is split into chunk-aligned
+/// worker regions, and every region gets a [`StoreRegion`] over a
+/// disjoint slice of the store's write side.
+pub trait MessageStore<M> {
+    /// Error of a run over this store; a blown round budget converts
+    /// into it.
+    type Error: From<RunError>;
+    /// One worker region's message I/O for one round.
+    type Region<'a>: StoreRegion<M>
+    where
+        Self: 'a;
+
+    /// Pass cut points: node indices from `0` to `n`, every internal cut
+    /// on a chunk boundary.
+    fn passes(&self) -> &[usize];
+
+    /// Makes pass `pass` steppable and splits its storage for `round`
+    /// into one region per window of `bounds` (node cut points,
+    /// chunk-aligned). With more than one pass, a pass with no mailed or
+    /// due chunk is skipped without this call.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the store fails with when making the pass steppable.
+    fn regions<'a>(
+        &'a mut self,
+        csr: Csr<'a>,
+        pass: usize,
+        round: u64,
+        bounds: &'a [usize],
+    ) -> Result<impl Iterator<Item = Self::Region<'a>>, Self::Error>;
+
+    /// Hook after pass `pass` ran in `round`.
+    fn end_pass(&mut self, _pass: usize, _round: u64) {}
+
+    /// Peak bytes of message storage resident at any point of the run.
+    fn peak_bytes(&self) -> u64;
+}
+
+/// One worker region's per-node message I/O in one round. A node is named
+/// by its first slot `base` (`offsets[v]`) and its `degree`. Per visited
+/// chunk the loop calls [`open_chunk`](StoreRegion::open_chunk), then
+/// [`stage`](StoreRegion::stage) for each of its running nodes that is
+/// due or mailed; a node that steps gets [`io`](StoreRegion::io) and, if
+/// it sent anything, [`commit`](StoreRegion::commit).
+pub trait StoreRegion<M>: Send {
+    /// Opens global chunk `chunk` for this round's writes, before any of
+    /// its nodes steps.
+    fn open_chunk(&mut self, _chunk: usize) {}
+
+    /// Whether the node steps: it is `due`, or a message to it is
+    /// waiting. Stages the node's inbox where the store needs to.
+    fn stage(&mut self, base: usize, degree: usize, due: bool) -> bool;
+
+    /// The staged inbox and an empty outbox of the node.
+    fn io(&mut self, base: usize, degree: usize) -> (Inbox<'_, M>, Outbox<'_, M>);
+
+    /// Stores what the node sent, calling `sent(port)` for every port
+    /// written.
+    fn commit(&mut self, base: usize, degree: usize, sent: impl FnMut(usize));
+}
+
+/// The monolithic store: two full-tree slot arenas, one slot per directed
+/// edge, double-buffered by round parity, all in one pass. Delivery-round
+/// stamps expire stale slots, so nothing is ever cleared between rounds.
+struct SlotStore<M> {
+    /// Even rounds write arena 0 and read arena 1; odd rounds swap.
+    arenas: [Vec<ArenaSlot<M>>; 2],
+    passes: [usize; 2],
+}
+
+impl<M: Clone + Send + Sync> MessageStore<M> for SlotStore<M> {
+    type Error = RunError;
+    type Region<'a>
+        = SlotRegion<'a, M>
+    where
+        Self: 'a;
+
+    fn passes(&self) -> &[usize] {
+        &self.passes
+    }
+
+    fn regions<'a>(
+        &'a mut self,
+        csr: Csr<'a>,
+        _pass: usize,
+        round: u64,
+        bounds: &'a [usize],
+    ) -> Result<impl Iterator<Item = SlotRegion<'a, M>>, RunError> {
+        let [a, b] = &mut self.arenas;
+        let (read, mut write): (&[_], &mut [_]) = if round.is_multiple_of(2) {
+            (b, a)
+        } else {
+            (a, b)
+        };
+        Ok(bounds.windows(2).map(move |w| {
+            let slot_base = csr.offsets[w[0]] as usize;
+            let slots = csr.offsets[w[1]] as usize - slot_base;
+            let (head, rest) = std::mem::take(&mut write).split_at_mut(slots);
+            write = rest;
+            SlotRegion {
+                rev: csr.rev,
+                read,
+                write: head,
+                slot_base,
+                expect: round as u32,
+            }
+        }))
+    }
+
+    fn peak_bytes(&self) -> u64 {
+        // Both full-tree double-buffered arenas live for the whole run.
+        2 * (self.arenas[0].len() * std::mem::size_of::<ArenaSlot<M>>()) as u64
+    }
+}
+
+/// A worker region of the slot arenas: the whole read arena plus the
+/// region's CSR range of the write arena.
+struct SlotRegion<'a, M> {
+    rev: &'a [u32],
+    read: &'a [ArenaSlot<M>],
+    write: &'a mut [ArenaSlot<M>],
+    slot_base: usize,
+    /// The round being stepped: only slots stamped with it are delivered,
+    /// and sends are stamped `expect + 1`.
+    expect: u32,
+}
+
+impl<M: Clone + Send + Sync> StoreRegion<M> for SlotRegion<'_, M> {
+    fn stage(&mut self, base: usize, degree: usize, due: bool) -> bool {
+        due || (0..degree).any(|p| {
+            matches!(&self.read[self.rev[base + p] as usize], Some((stamp, _)) if *stamp == self.expect)
+        })
+    }
+
+    fn io(&mut self, base: usize, degree: usize) -> (Inbox<'_, M>, Outbox<'_, M>) {
+        let lo = base - self.slot_base;
+        let out = &mut self.write[lo..lo + degree];
+        for slot in out.iter_mut() {
+            *slot = None;
+        }
+        (
+            Inbox::gather(self.read, self.rev, base, degree, self.expect),
+            Outbox::slots(out, self.expect + 1),
+        )
+    }
+
+    fn commit(&mut self, base: usize, degree: usize, mut sent: impl FnMut(usize)) {
+        let lo = base - self.slot_base;
+        for (p, slot) in self.write[lo..lo + degree].iter().enumerate() {
+            if slot.is_some() {
+                sent(p);
+            }
+        }
+    }
+}
+
 /// Read-only (or atomically shared) state every worker sees during one
 /// round.
-struct RoundShared<'a, M> {
-    read: &'a [ArenaSlot<M>],
-    rev: &'a [u32],
-    offsets: &'a [u32],
-    adjacency: &'a [u32],
+struct RoundShared<'a> {
+    csr: Csr<'a>,
     contexts: &'a [NodeContext],
     chunk_size: usize,
     /// Mail flags consumed this round (set by last round's senders).
@@ -749,20 +941,19 @@ struct RoundShared<'a, M> {
     checker: Option<&'a ArenaChecker>,
 }
 
-/// One worker's contiguous slice of every per-node array plus its CSR
-/// range of the write arena. Regions are chunk-aligned, so each also owns
-/// a contiguous slice of the per-chunk wake array.
-struct Region<'a, P: Protocol> {
+/// One worker's contiguous slice of every per-node array plus its store
+/// region. Regions are chunk-aligned, so each also owns a contiguous
+/// slice of the per-chunk wake array.
+struct Region<'a, P: Protocol, R> {
     start: NodeId,
-    slot_base: usize,
     /// Global index of the region's first chunk.
     first_chunk: usize,
+    /// `None` once the node has terminated.
     machines: &'a mut [Option<P>],
     outputs: &'a mut [Option<P::Output>],
     /// One `u32` slot per node: the first round in which the node's
     /// output is final, written exactly once (at termination).
     rounds: &'a mut [u32],
-    states: &'a mut [NodeState],
     /// Per-node wake hints: the next round in which the node must be
     /// stepped absent mail (`0` initially, so round 0 steps everyone).
     wakes: &'a mut [u64],
@@ -770,35 +961,22 @@ struct Region<'a, P: Protocol> {
     /// is exact after every visit and untouched (hence still valid)
     /// between visits.
     chunk_wakes: &'a mut [u64],
-    write: &'a mut [ArenaSlot<P::Message>],
-}
-
-/// Does the node with CSR `base` and `degree` have a message stamped for
-/// this round?
-fn mail_waiting<M>(
-    read: &[ArenaSlot<M>],
-    rev: &[u32],
-    base: usize,
-    degree: usize,
-    expect: u32,
-) -> bool {
-    (0..degree)
-        .any(|p| matches!(&read[rev[base + p] as usize], Some((stamp, _)) if *stamp == expect))
+    store: R,
 }
 
 /// Executes one round over one region, visiting only chunks that are due
 /// or flagged for mail. Returns `(terminated, sent)`.
-fn step_region<P: Protocol>(
-    region: &mut Region<'_, P>,
-    shared: &RoundShared<'_, P::Message>,
-) -> (usize, u64) {
+fn step_region<P, R>(region: &mut Region<'_, P, R>, shared: &RoundShared<'_>) -> (usize, u64)
+where
+    P: Protocol,
+    R: StoreRegion<P::Message>,
+{
     let round = shared.round;
-    let expect = round as u32;
-    let stamp = expect + 1;
     let mut terminated = 0usize;
     let mut sent = 0u64;
     for c in 0..region.chunk_wakes.len() {
-        let flag = &shared.mail_now[region.first_chunk + c];
+        let chunk = region.first_chunk + c;
+        let flag = &shared.mail_now[chunk];
         // The owner is the only clearer; a plain load first keeps idle
         // chunks' cache lines in the shared state.
         let mail = flag.load(Ordering::Relaxed);
@@ -807,63 +985,46 @@ fn step_region<P: Protocol>(
         } else if region.chunk_wakes[c] > round {
             continue;
         }
+        region.store.open_chunk(chunk);
         let node_lo = c * shared.chunk_size;
         let node_hi = (node_lo + shared.chunk_size).min(region.machines.len());
         let mut chunk_wake = u64::MAX;
         for i in node_lo..node_hi {
-            if region.states[i] == NodeState::Done {
+            let Some(machine) = region.machines[i].as_mut() else {
                 continue;
-            }
+            };
             let v = region.start + i;
-            let base = shared.offsets[v] as usize;
+            let base = shared.csr.offsets[v] as usize;
             let ctx = &shared.contexts[v];
             let due = region.wakes[i] <= round;
-            let stepping =
-                due || (mail && mail_waiting(shared.read, shared.rev, base, ctx.degree, expect));
-            if !stepping {
+            if !(due || mail) || !region.store.stage(base, ctx.degree, due) {
                 chunk_wake = chunk_wake.min(region.wakes[i]);
                 continue;
             }
-            let lo = base - region.slot_base;
-            let hi = shared.offsets[v + 1] as usize - region.slot_base;
-            let out_slots = &mut region.write[lo..hi];
-            for slot in out_slots.iter_mut() {
-                *slot = None;
-            }
             if let Some(checker) = shared.checker {
                 for p in 0..ctx.degree {
-                    checker.record_read(shared.rev[base + p] as usize, round);
+                    checker.record_read(shared.csr.rev[base + p] as usize, round);
                 }
             }
-            let inbox = Inbox::gather(shared.read, shared.rev, base, ctx.degree, expect);
-            let mut outbox = Outbox::slots(out_slots, stamp);
-            let Some(machine) = region.machines[i].as_mut() else {
-                unreachable!("a node in the Running state has a machine")
-            };
+            let (inbox, mut outbox) = region.store.io(base, ctx.degree);
             let decided = machine.step(ctx, round, &inbox, &mut outbox);
             let wrote = outbox.sent();
             if wrote > 0 {
                 sent += wrote as u64;
-                for (p, slot) in region.write[lo..hi].iter().enumerate() {
-                    if slot.is_some() {
-                        if let Some(checker) = shared.checker {
-                            checker.record_write(base + p, round, region.first_chunk + c);
-                        }
-                        let w = shared.adjacency[base + p] as usize;
-                        shared.mail_next[w / shared.chunk_size].store(true, Ordering::Relaxed);
+                region.store.commit(base, ctx.degree, |p| {
+                    if let Some(checker) = shared.checker {
+                        checker.record_write(base + p, round, chunk);
                     }
-                }
+                    let w = shared.csr.adjacency[base + p] as usize;
+                    shared.mail_next[w / shared.chunk_size].store(true, Ordering::Relaxed);
+                });
             }
             if let Some(output) = decided {
                 region.outputs[i] = Some(output);
-                region.rounds[i] = expect;
+                region.rounds[i] = round as u32;
                 region.machines[i] = None;
-                region.states[i] = NodeState::Done;
                 terminated += 1;
             } else {
-                let Some(machine) = region.machines[i].as_ref() else {
-                    unreachable!("a node in the Running state has a machine")
-                };
                 let wake = machine.next_wake(ctx, round).max(round + 1);
                 region.wakes[i] = wake;
                 chunk_wake = chunk_wake.min(wake);
@@ -874,55 +1035,49 @@ fn step_region<P: Protocol>(
     (terminated, sent)
 }
 
-/// Splits all per-node and per-chunk arrays plus the write arena into
-/// per-region slices.
+/// Splits one pass's per-node and per-chunk arrays into per-region
+/// slices at `bounds` (global node cut points), pairing each with its
+/// store region.
 #[allow(clippy::too_many_arguments)]
-fn split_regions<'a, P: Protocol>(
+fn split_regions<'a, P: Protocol, R>(
     bounds: &[usize],
-    offsets: &[u32],
     chunk_size: usize,
     mut machines: &'a mut [Option<P>],
     mut outputs: &'a mut [Option<P::Output>],
     mut rounds: &'a mut [u32],
-    mut states: &'a mut [NodeState],
     mut wakes: &'a mut [u64],
     mut chunk_wakes: &'a mut [u64],
-    mut write: &'a mut [ArenaSlot<P::Message>],
-) -> Vec<Region<'a, P>> {
-    let mut regions = Vec::with_capacity(bounds.len() - 1);
-    for w in bounds.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        let nodes = hi - lo;
-        let chunks = nodes.div_ceil(chunk_size);
-        let slots = offsets[hi] as usize - offsets[lo] as usize;
-        let (m, m_rest) = std::mem::take(&mut machines).split_at_mut(nodes);
-        machines = m_rest;
-        let (o, o_rest) = std::mem::take(&mut outputs).split_at_mut(nodes);
-        outputs = o_rest;
-        let (r, r_rest) = std::mem::take(&mut rounds).split_at_mut(nodes);
-        rounds = r_rest;
-        let (s, s_rest) = std::mem::take(&mut states).split_at_mut(nodes);
-        states = s_rest;
-        let (wk, wk_rest) = std::mem::take(&mut wakes).split_at_mut(nodes);
-        wakes = wk_rest;
-        let (cw, cw_rest) = std::mem::take(&mut chunk_wakes).split_at_mut(chunks);
-        chunk_wakes = cw_rest;
-        let (ws, w_rest) = std::mem::take(&mut write).split_at_mut(slots);
-        write = w_rest;
-        regions.push(Region {
-            start: lo,
-            slot_base: offsets[lo] as usize,
-            first_chunk: lo / chunk_size,
-            machines: m,
-            outputs: o,
-            rounds: r,
-            states: s,
-            wakes: wk,
-            chunk_wakes: cw,
-            write: ws,
-        });
-    }
-    regions
+    stores: impl Iterator<Item = R>,
+) -> Vec<Region<'a, P, R>> {
+    bounds
+        .windows(2)
+        .zip(stores)
+        .map(|(w, store)| {
+            let (lo, hi) = (w[0], w[1]);
+            let nodes = hi - lo;
+            let (m, m_rest) = std::mem::take(&mut machines).split_at_mut(nodes);
+            machines = m_rest;
+            let (o, o_rest) = std::mem::take(&mut outputs).split_at_mut(nodes);
+            outputs = o_rest;
+            let (r, r_rest) = std::mem::take(&mut rounds).split_at_mut(nodes);
+            rounds = r_rest;
+            let (wk, wk_rest) = std::mem::take(&mut wakes).split_at_mut(nodes);
+            wakes = wk_rest;
+            let (cw, cw_rest) =
+                std::mem::take(&mut chunk_wakes).split_at_mut(nodes.div_ceil(chunk_size));
+            chunk_wakes = cw_rest;
+            Region {
+                start: lo,
+                first_chunk: lo / chunk_size,
+                machines: m,
+                outputs: o,
+                rounds: r,
+                wakes: wk,
+                chunk_wakes: cw,
+                store,
+            }
+        })
+        .collect()
 }
 
 /// Runs a protocol on every node of `tree` until all nodes terminate,
@@ -976,7 +1131,8 @@ where
 }
 
 /// [`run_sync`] with explicit engine tuning. Outputs and rounds are
-/// independent of `config`; only scheduling changes.
+/// independent of `config`; only scheduling changes. Always runs on the
+/// slot arenas: `config.shard` is the sharded executor's knob.
 ///
 /// # Errors
 ///
@@ -998,7 +1154,7 @@ where
     P: Protocol,
     F: FnMut(&NodeContext) -> P,
 {
-    run_sync_inner(tree, ids, factory, max_rounds, config, tree.node_count())
+    run_sync_region(tree, ids, factory, max_rounds, config, tree.node_count())
 }
 
 /// [`run_sync_with`] on an extracted *dirty region* of a larger ambient
@@ -1034,28 +1190,56 @@ where
     P: Protocol,
     F: FnMut(&NodeContext) -> P,
 {
-    run_sync_inner(tree, ids, factory, max_rounds, config, ambient_n)
+    run_with_store(tree, ids, factory, max_rounds, config, ambient_n, |setup| {
+        let slots = setup.csr.adjacency.len();
+        Ok(SlotStore {
+            arenas: [vec![None; slots], vec![None; slots]],
+            passes: [0, setup.contexts.len()],
+        })
+    })
 }
 
-fn run_sync_inner<P, F>(
+/// The round loop, over the message store `store` builds at run start.
+/// Nodes see `ambient_n` as the network size.
+///
+/// Every executed round opens the store's round, then runs each pass:
+/// the pass's nodes are split into chunk-aligned worker regions, stepped
+/// inline or on scoped threads, and the store's pass hooks run around
+/// them. A round that ends with nothing in flight fast-forwards to the
+/// earliest wake.
+///
+/// # Errors
+///
+/// Whatever building the store or entering a pass fails with, and
+/// [`RunError::RoundLimitExceeded`] (converted) if any node is still
+/// running after `max_rounds` rounds.
+///
+/// # Panics
+///
+/// Panics if `ids` does not cover all nodes, or if a worker thread panics
+/// (protocol panics propagate).
+pub fn run_with_store<P, F, S>(
     tree: &Tree,
     ids: &Ids,
     mut factory: F,
     max_rounds: u64,
     config: &EngineConfig,
     ambient_n: usize,
-) -> Result<SyncOutcome<P::Output>, RunError>
+    store: impl FnOnce(&StoreSetup<'_, P>) -> Result<S, S::Error>,
+) -> Result<SyncOutcome<P::Output>, S::Error>
 where
     P: Protocol,
     F: FnMut(&NodeContext) -> P,
+    S: MessageStore<P::Message>,
 {
     let n = tree.node_count();
     assert_eq!(ids.len(), n, "ID assignment must cover all nodes");
-    let offsets = tree.offsets();
-    let adjacency = tree.adjacency();
     let rev = reverse_edges(tree);
-    let slots = adjacency.len();
-
+    let csr = Csr {
+        offsets: tree.offsets(),
+        adjacency: tree.adjacency(),
+        rev: &rev,
+    };
     let contexts: Vec<NodeContext> = tree
         .nodes()
         .map(|v| NodeContext {
@@ -1066,33 +1250,44 @@ where
         })
         .collect();
     let mut machines: Vec<Option<P>> = contexts.iter().map(|c| Some(factory(c))).collect();
+    let chunk_size = config.resolved_chunk_size();
+    let workers = config.resolved_threads(n);
+    let mut store = store(&StoreSetup {
+        tree,
+        csr,
+        contexts: &contexts,
+        machines: &machines,
+        chunk_size,
+        workers,
+    })?;
+    // Every pass's worker cut points, fixed for the run.
+    let pass_bounds: Vec<Vec<usize>> = store
+        .passes()
+        .windows(2)
+        .map(|w| {
+            region_bounds(w[1] - w[0], chunk_size, workers)
+                .into_iter()
+                .map(|b| w[0] + b)
+                .collect()
+        })
+        .collect();
+
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut rounds: Vec<u32> = vec![0; n];
-    let mut states: Vec<NodeState> = vec![NodeState::Running; n];
     // Per-round termination counts: `terminated_in[r]` nodes fixed their
     // output in round `r`. One push per round, no per-node work.
     let mut terminated_in: Vec<u64> = Vec::new();
-    // The double-buffered arenas: one message slot per directed edge,
-    // allocated once, reused every round.
-    let mut arena_a: Vec<ArenaSlot<P::Message>> = vec![None; slots];
-    let mut arena_b: Vec<ArenaSlot<P::Message>> = vec![None; slots];
-
-    let chunk_size = config.resolved_chunk_size();
-    let workers = config.resolved_threads(n);
-    let bounds = region_bounds(n, chunk_size, workers);
-    let chunk_count = n.div_ceil(chunk_size);
-
     // Event-driven scheduling state: everyone is due at round 0, no mail.
+    let chunk_count = n.div_ceil(chunk_size);
     let mut wakes: Vec<u64> = vec![0; n];
     let mut chunk_wakes: Vec<u64> = vec![0; chunk_count];
     let mail_a: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
     let mail_b: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
-
     // The checker's epochs persist across rounds (stale-slot expiry is
     // part of what it validates), so it lives outside the round loop.
     let checker = config
         .arena_check_enabled()
-        .then(|| ArenaChecker::new(offsets, n, chunk_size, slots));
+        .then(|| ArenaChecker::new(csr.offsets, n, chunk_size, csr.adjacency.len()));
 
     let mut running = n;
     let mut messages: u64 = 0;
@@ -1102,29 +1297,21 @@ where
             return Err(RunError::RoundLimitExceeded {
                 limit: max_rounds,
                 unfinished: running,
-            });
+            }
+            .into());
         }
         assert!(
             round < u64::from(u32::MAX),
             "termination rounds are recorded in u32 slots"
         );
-        // Even rounds write arena A and read arena B; odd rounds swap. The
-        // mail flags are double-buffered on the same parity.
-        let (read, write) = if round.is_multiple_of(2) {
-            (&arena_b, &mut arena_a)
-        } else {
-            (&arena_a, &mut arena_b)
-        };
+        // Mail flags are double-buffered by round parity, like the arenas.
         let (mail_now, mail_next) = if round.is_multiple_of(2) {
             (&mail_a, &mail_b)
         } else {
             (&mail_b, &mail_a)
         };
         let shared = RoundShared {
-            read,
-            rev: &rev,
-            offsets,
-            adjacency,
+            csr,
             contexts: &contexts,
             chunk_size,
             mail_now,
@@ -1132,41 +1319,54 @@ where
             round,
             checker: checker.as_ref(),
         };
-        let mut regions = split_regions(
-            &bounds,
-            offsets,
-            chunk_size,
-            &mut machines,
-            &mut outputs,
-            &mut rounds,
-            &mut states,
-            &mut wakes,
-            &mut chunk_wakes,
-            write,
-        );
-        let (terminated, sent) = if regions.len() == 1 {
-            let Some(mut region) = regions.pop() else {
-                unreachable!("regions.len() == 1")
-            };
-            step_region(&mut region, &shared)
-        } else {
-            let shared = &shared;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = regions
-                    .into_iter()
-                    .map(|mut region| scope.spawn(move || step_region(&mut region, shared)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // Re-raise a worker panic with its original payload
-                        // instead of swallowing it behind a generic message.
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        let mut terminated = 0usize;
+        let mut sent = 0u64;
+        for (pass, bounds) in pass_bounds.iter().enumerate() {
+            let (lo, hi) = (bounds[0], bounds[bounds.len() - 1]);
+            let (c0, c1) = (lo / chunk_size, hi.div_ceil(chunk_size));
+            // An idle pass would visit no chunk; skipping it outright
+            // spares a multi-pass store its residency work.
+            if pass_bounds.len() > 1
+                && !(c0..c1).any(|c| mail_now[c].load(Ordering::Relaxed) || chunk_wakes[c] <= round)
+            {
+                continue;
+            }
+            let regions = split_regions(
+                bounds,
+                chunk_size,
+                &mut machines[lo..hi],
+                &mut outputs[lo..hi],
+                &mut rounds[lo..hi],
+                &mut wakes[lo..hi],
+                &mut chunk_wakes[c0..c1],
+                store.regions(csr, pass, round, bounds)?,
+            );
+            let (t, s) = match <[_; 1]>::try_from(regions) {
+                Ok([mut region]) => step_region(&mut region, &shared),
+                Err(regions) => {
+                    let shared = &shared;
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = regions
+                            .into_iter()
+                            .map(|mut region| scope.spawn(move || step_region(&mut region, shared)))
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| {
+                                // Re-raise a worker panic with its original
+                                // payload instead of swallowing it behind a
+                                // generic message.
+                                h.join()
+                                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                            })
+                            .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
                     })
-                    .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
-            })
-        };
+                }
+            };
+            terminated += t;
+            sent += s;
+            store.end_pass(pass, round);
+        }
         running -= terminated;
         messages += sent;
         terminated_in.push(terminated as u64);
@@ -1198,8 +1398,7 @@ where
         stats: RoundStats::new(rounds.into_iter().map(u64::from).collect()),
         profile,
         messages,
-        // Both full-tree double-buffered arenas live for the whole run.
-        peak_arena_bytes: 2 * (slots * std::mem::size_of::<ArenaSlot<P::Message>>()) as u64,
+        peak_arena_bytes: store.peak_bytes(),
     })
 }
 
@@ -1558,6 +1757,19 @@ pub(crate) mod tests {
             assert!(w[0] < w[1]);
             assert!(w[1] == 1_000 || w[1] % 16 == 0);
         }
+    }
+
+    #[test]
+    fn zero_shards_flag_means_the_monolithic_engine() {
+        assert_eq!(ShardConfig::from_flags(0, 2, true), None);
+        assert_eq!(
+            ShardConfig::from_flags(3, 2, true),
+            Some(ShardConfig {
+                shards: 3,
+                max_resident: 2,
+                packing: true,
+            })
+        );
     }
 
     #[test]

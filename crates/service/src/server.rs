@@ -421,14 +421,11 @@ fn process(request: &Request) -> Response {
             // them after planning so cached plans serve sharded and
             // monolithic solves alike (results are bit-identical either
             // way; only the memory footprint differs).
-            plan.config.engine.shard = match shards.unwrap_or(0) {
-                0 => None,
-                s => Some(ShardConfig {
-                    shards: s as usize,
-                    max_resident: max_resident.unwrap_or(0) as usize,
-                    packing: packing.unwrap_or(false),
-                }),
-            };
+            plan.config.engine.shard = ShardConfig::from_flags(
+                shards.unwrap_or(0) as usize,
+                max_resident.unwrap_or(0) as usize,
+                packing.unwrap_or(false),
+            );
             let instance = match plan.spec.build_shared() {
                 Ok(instance) => instance,
                 Err(e) => {

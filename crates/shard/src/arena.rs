@@ -7,7 +7,7 @@
 //! one presence bit per slot. Validity-by-stamp is replaced by
 //! validity-by-construction: a chunk's presence words are zeroed when the
 //! chunk is stepped, and readers consult the per-chunk *stamp* (kept by
-//! the runner, outside the arena) to know whether the surviving presence
+//! the store, outside the arena) to know whether the surviving presence
 //! bits are one round old or stale.
 //!
 //! # Layout
@@ -252,23 +252,21 @@ impl HaloBuffers {
         }
     }
 
-    /// Clears parity `p` (presence only; packed bits are dead without
-    /// their presence bit).
-    pub fn clear_parity(&mut self, p: usize) {
-        for w in &mut self.present[p] {
-            *w = 0;
+    /// Mirrors halo slot `idx` of parity `p`: packed `bits`, or no
+    /// message.
+    pub fn put(&mut self, p: usize, idx: usize, bits: Option<u128>) {
+        match bits {
+            Some(bits) => {
+                set_present(&mut self.present[p], idx);
+                set_bits(
+                    &mut self.packed[p],
+                    idx * self.width as usize,
+                    self.width,
+                    bits,
+                );
+            }
+            None => self.present[p][idx / 64] &= !(1u64 << (idx % 64)),
         }
-    }
-
-    /// Mirrors packed `bits` into halo slot `idx` of parity `p`.
-    pub fn put(&mut self, p: usize, idx: usize, bits: u128) {
-        set_present(&mut self.present[p], idx);
-        set_bits(
-            &mut self.packed[p],
-            idx * self.width as usize,
-            self.width,
-            bits,
-        );
     }
 
     /// Reads halo slot `idx` of parity `p`, if present.
@@ -293,11 +291,8 @@ mod tests {
         let mut base = 0;
         slot_counts
             .iter()
-            .enumerate()
-            .map(|(i, &s)| {
+            .map(|&s| {
                 let cm = ChunkMeta {
-                    node_lo: i,
-                    node_hi: i + 1,
                     slot_base: base,
                     slots: s,
                 };
@@ -370,12 +365,12 @@ mod tests {
     fn halo_put_get_round_trips() {
         let mut halo = HaloBuffers::zeroed(10, 65);
         assert_eq!(halo.get(0, 3), None);
-        halo.put(0, 3, 1 << 64);
-        halo.put(0, 9, 12345);
+        halo.put(0, 3, Some(1 << 64));
+        halo.put(0, 9, Some(12345));
         assert_eq!(halo.get(0, 3), Some(1 << 64));
         assert_eq!(halo.get(0, 9), Some(12345));
         assert_eq!(halo.get(1, 3), None, "parities are independent");
-        halo.clear_parity(0);
+        halo.put(0, 3, None);
         assert_eq!(halo.get(0, 3), None);
     }
 }

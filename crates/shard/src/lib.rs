@@ -1,34 +1,34 @@
-//! Partitioned out-of-core execution of the chunked LOCAL engine.
+//! Partitioned out-of-core storage for the LOCAL engine's round loop.
 //!
 //! The monolithic engine (`lcl_local::engine`) keeps two full-tree message
 //! arenas resident for the whole run. This crate trades peak memory for
-//! I/O: it splits the CSR into contiguous node-range **shards**, keeps at
-//! most [`ShardConfig::max_resident`](lcl_local::engine::ShardConfig)
-//! shard arena sets in memory (the rest spill to a per-run on-disk pool),
-//! and executes every engine round as a sequence of resident-shard passes
-//! stitched together by **halo exchange**:
+//! I/O: [`run_sharded`] runs the engine's one round loop
+//! (`lcl_local::engine::run_with_store`) over a packed message store that
+//! splits the CSR into contiguous node-range **shards**, one loop pass per
+//! shard, and keeps at most
+//! [`ShardConfig::max_resident`](lcl_local::engine::ShardConfig) shard
+//! arena sets in memory (the rest spill to a per-run on-disk pool):
 //!
-//! - Each shard owns the directed-edge slots of its own nodes, stored as
-//!   **bit-packed** double-buffered arenas
-//!   ([`PackedArena`](arena::PackedArena)); slot width comes from
-//!   per-protocol [`message_bits`](lcl_local::engine::Protocol::message_bits)
-//!   hints with the message type's declared
+//! - [`partition`]: the width-independent shard geometry ([`ShardPlan`]):
+//!   chunk-aligned shard ranges, cut edges and halo routes.
+//! - [`arena`]: **bit-packed** double-buffered arenas; slot width comes
+//!   from per-protocol
+//!   [`message_bits`](lcl_local::engine::Protocol::message_bits) hints
+//!   with the message type's declared
 //!   [`CEIL_BITS`](lcl_local::packed::PackableMessage::CEIL_BITS) ceiling
-//!   as fallback.
-//! - A message crossing a shard boundary is mirrored into the destination
-//!   shard's fixed **halo buffer** at the end of the source shard's pass —
-//!   before the source can be evicted — so *a shard pass never reads a
-//!   non-resident arena*. Halo buffers are RAM-resident for the whole run
-//!   (they cover only the cut edges).
-//! - Within a shard, the pass reuses the monolithic engine's chunked
-//!   event-driven scheduling (mail flags, wake hints, fast-forward), with
-//!   worker regions split at chunk boundaries; packed-arena chunk regions
-//!   are word-aligned so workers never share a word.
+//!   as fallback. Chunk regions are word-aligned, so worker regions never
+//!   share a word.
+//! - [`pool`]: the spill file.
+//! - The store itself: a message crossing a shard boundary is mirrored
+//!   into the destination shard's RAM-resident **halo buffer** when the
+//!   source shard's pass ends, before the source can be evicted, so *a
+//!   pass never reads a non-resident arena*.
 //!
-//! Correctness is pinned by differential suites demanding bit-identical
-//! outputs, per-node rounds, and termination profiles against the
-//! monolithic engine across shard counts × residency limits × packing
-//! on/off × thread counts.
+//! Scheduling (mail flags, wake hints, fast-forward, worker regions) is
+//! the engine's own, so outputs, per-node rounds, termination profiles and
+//! message counts are bit-identical to the monolithic engine; differential
+//! suites pin this across shard counts × residency limits × packing on/off
+//! × thread counts.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,7 +36,7 @@
 pub mod arena;
 pub mod partition;
 pub mod pool;
-pub mod runner;
+mod store;
 
 pub use partition::ShardPlan;
-pub use runner::{run_sharded, ShardError};
+pub use store::{run_sharded, ShardError};

@@ -23,14 +23,10 @@
 use lcl_graph::Tree;
 use lcl_local::engine::region_bounds;
 
-/// One scheduling chunk of a shard: a node range plus its directed-edge
-/// slot range in the global CSR.
+/// One scheduling chunk of a shard: its directed-edge slot range in the
+/// global CSR.
 #[derive(Debug, Clone)]
 pub struct ChunkMeta {
-    /// First node of the chunk (global index).
-    pub node_lo: usize,
-    /// One past the last node of the chunk (global index).
-    pub node_hi: usize,
     /// Global CSR index of the chunk's first directed-edge slot.
     pub slot_base: usize,
     /// Number of directed-edge slots owned by the chunk's nodes.
@@ -71,12 +67,6 @@ pub struct ShardInfo {
 }
 
 impl ShardInfo {
-    /// Number of nodes in the shard.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.hi - self.lo
-    }
-
     /// Halo slot index of reading cut edge `e` (a global CSR index).
     ///
     /// # Panics
@@ -133,8 +123,6 @@ impl ShardPlan {
                     .map(|node_lo| {
                         let node_hi = (node_lo + chunk_size).min(hi);
                         ChunkMeta {
-                            node_lo,
-                            node_hi,
                             slot_base: offsets[node_lo] as usize,
                             slots: (offsets[node_hi] - offsets[node_lo]) as usize,
                         }
