@@ -8,10 +8,12 @@
 //! rules make both lexical: inside the designated hot functions, any
 //! allocating call, lock, `unsafe` block or file I/O is a finding.
 //!
-//! Hot functions are the entries of `HOT_FNS` — the round loop's step,
-//! each message store's per-node read and write, the halo capture, and
-//! the `Inbox`/`InboxIter`/`Outbox` message views — plus every method of
-//! a `Protocol` impl under `crates/algorithms/src/protocols/`.
+//! Hot functions are the entries of `HOT_FNS` — the round loop's
+//! per-round and per-node steps (pass load, region split, chunk and node
+//! visits, mail logs), each message store's per-node read and write, the
+//! halo capture, and the `Inbox`/`InboxIter`/`Outbox` message views —
+//! plus every method of a `Protocol` impl under
+//! `crates/algorithms/src/protocols/`.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FnInfo;
@@ -27,8 +29,15 @@ const PROTOCOLS_DIR: &str = "crates/algorithms/src/protocols/";
 /// qualified name (`Type::method` inside an impl), or `Type::*` for
 /// every method of a type.
 const HOT_FNS: &[(&str, &str)] = &[
-    // The round loop's step.
+    // The round loop's per-round and per-node steps: the pass load that
+    // picks inline or fan-out, the region split, the chunk visit, the
+    // node visit shared by full scans and frontier visits, and the mail
+    // logs the frontier is merged from.
+    (ENGINE_FILE, "pass_load"),
+    (ENGINE_FILE, "split_regions"),
     (ENGINE_FILE, "step_region"),
+    (ENGINE_FILE, "visit_node"),
+    (ENGINE_FILE, "MailLog::*"),
     // The message views every step reads and writes through.
     (ENGINE_FILE, "Inbox::*"),
     (ENGINE_FILE, "InboxIter::*"),

@@ -44,6 +44,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
             ("LCL-A03", "crates/local/src/engine.rs", 10),
             ("LCL-A01", "crates/local/src/engine.rs", 17),
             ("LCL-A04", "crates/local/src/engine.rs", 23),
+            ("LCL-A01", "crates/local/src/engine.rs", 29),
         ],
         "{}",
         report.human()
@@ -53,6 +54,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
     assert_eq!(report.findings[2].item, "step_region");
     assert_eq!(report.findings[5].item, "Inbox::gather");
     assert_eq!(report.findings[6].item, "SlotRegion::commit");
+    assert_eq!(report.findings[7].item, "MailLog::log");
     // The `#[cfg(test)]` allocation in the protocol fixture is not
     // reported: hot-path rules skip test code.
     assert_eq!(report.files_scanned, 2);

@@ -23,3 +23,9 @@ impl<M> StoreRegion<M> for SlotRegion<'_, M> {
         out.flush(); // line 23: LCL-A04 (I/O in a slot-store method)
     }
 }
+
+impl MailLog {
+    fn log(&mut self, node: u32) {
+        self.overflow.push(node); // line 29: LCL-A01 (allocation in a mail log)
+    }
+}

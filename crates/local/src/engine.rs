@@ -24,24 +24,33 @@
 //!   cloned between rounds. Readers accept only slots stamped with the
 //!   current round, so stale slots of nodes the scheduler skipped (or that
 //!   terminated) never resurface — no clearing passes are needed.
-//! - **Chunked parallelism.** Nodes are split into fixed-size chunks;
-//!   contiguous runs of chunks form per-worker regions executed on scoped
-//!   std threads. Within a round, workers write disjoint CSR ranges of the
-//!   write arena and read the (immutable) previous arena, so the engine
-//!   stays free of `unsafe` and of locks on the hot path.
+//! - **Chunked parallelism, only where it pays.** Nodes are split into
+//!   fixed-size chunks; contiguous runs of chunks form per-worker regions
+//!   executed on scoped std threads. Within a round, workers write
+//!   disjoint CSR ranges of the write arena and read the (immutable)
+//!   previous arena, so the engine stays free of `unsafe` and of locks on
+//!   the hot path. Before a pass fans out, the loop bounds the nodes it
+//!   will examine (the real lengths of the chunks it scans in full plus
+//!   its frontier nodes). Under `AUTO_PARALLEL_MIN_NODES` (16,384) the
+//!   pass runs inline on the calling thread as one region, with no spawn
+//!   and no allocation.
 //! - **Event-driven scheduling.** A node is stepped only when it has mail
 //!   or when its own [`Protocol::next_wake`] hint is due. Senders flag the
 //!   recipient's chunk (one atomic bool per chunk, double-buffered by round
-//!   parity like the arenas), each chunk tracks the minimum wake of its
-//!   running nodes, and a chunk is visited only when flagged or due — so a
-//!   two-front wave over a million-node path costs `O(chunk)` per round,
-//!   not `O(n)`. When a round ends with no messages in flight the engine
-//!   fast-forwards to the earliest wake instead of idling round by round.
+//!   parity like the arenas), each chunk keeps a lower bound on its
+//!   running nodes' wakes, and a chunk is visited only when flagged or
+//!   due. Senders also log their recipients; when a round sends at most
+//!   `MAIL_LOG_CAP` messages, a mailed chunk that is not due steps only
+//!   last round's recipients (the *frontier*) instead of scanning every
+//!   node. A two-front wave over a million-node path therefore costs
+//!   `O(recipients)` per round, not `O(chunk)` or `O(n)`. When a round
+//!   ends with no messages in flight the engine fast-forwards to the
+//!   earliest wake instead of idling round by round.
 //!
 //! # One round loop, two stores
 //!
 //! [`run_with_store`] is the only round loop. It owns scheduling: the
-//! region split, the chunk visit decision, the thread fan-out,
+//! region split, the chunk visit decision, the inline-or-fan-out choice,
 //! termination and wake bookkeeping, the `ArenaChecker` calls, the
 //! round limit and the fast-forward. Where messages live between rounds
 //! is a [`MessageStore`], chosen statically: the slot arenas above (one
@@ -65,8 +74,6 @@
 use crate::identifiers::Ids;
 use crate::metrics::{RoundStats, TerminationProfile};
 use lcl_graph::{NodeId, Tree};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -462,6 +469,13 @@ pub struct SyncOutcome<O> {
     /// on. Deterministic per `(instance, config)`; `0` from executors
     /// without arenas (the reference engine).
     pub peak_arena_bytes: u64,
+    /// Running nodes the executor examined, summed over rounds: a
+    /// deterministic work counter. The chunked engine counts every
+    /// running node of each chunk it scans in full plus every frontier
+    /// node it steps alone, so the count depends on the chunk size but
+    /// not on threads or store; the reference engine counts the nodes it
+    /// steps (every running node, every round).
+    pub node_visits: u64,
 }
 
 /// Tuning knobs of the chunked engine. The all-zero [`Default`] resolves
@@ -471,9 +485,11 @@ pub struct EngineConfig {
     /// Nodes per scheduling chunk; worker regions are aligned to chunk
     /// boundaries. `0` means the default (1024). Never affects results.
     pub chunk_size: usize,
-    /// Worker threads. `0` resolves to the available parallelism for large
-    /// instances and `1` (inline, no spawns) for small ones; an explicit
-    /// value is honored exactly.
+    /// The most worker regions a round fans out to; `0` resolves to the
+    /// available parallelism. A round that examines fewer than
+    /// `AUTO_PARALLEL_MIN_NODES` (16,384) nodes runs inline on the calling
+    /// thread instead, so this is a ceiling, not a promise to spawn.
+    /// Never affects results.
     pub threads: usize,
     /// Runs the arena write-discipline checker alongside the round loop:
     /// every arena slot is verified to be written at most once per round,
@@ -538,9 +554,19 @@ impl ShardConfig {
     }
 }
 
-/// Below this node count the auto thread policy stays sequential: per-round
-/// spawn overhead would dominate the work.
+/// The fewest nodes a round pass must examine to fan out across worker
+/// threads. Below it the pass runs inline on the calling thread as one
+/// region, because two spawns would cost more than its work. The bound
+/// is taken per round ([`pass_load`]) from the real lengths of the chunks
+/// the pass scans in full plus its frontier nodes, so a run of fewer
+/// nodes never spawns at all.
 const AUTO_PARALLEL_MIN_NODES: usize = 16_384;
+
+/// Recipients one worker region logs per round. A round that sends at
+/// most this many messages in total hands the next round a *frontier*
+/// of exactly its recipients, and a mailed chunk that is not due then
+/// steps only those nodes instead of being scanned in full.
+const MAIL_LOG_CAP: usize = 64;
 
 /// Default chunk size when [`EngineConfig::chunk_size`] is `0`.
 const DEFAULT_CHUNK_SIZE: usize = 1024;
@@ -575,11 +601,13 @@ impl EngineConfig {
         }
     }
 
-    /// Worker count for an `n`-node run with the `0 = auto` rule applied.
+    /// The most regions a round fans out to, with the `0 = available
+    /// parallelism` rule applied. Independent of the node count `_n`:
+    /// whether a round actually fans out is decided per round from the
+    /// nodes it examines.
     #[must_use]
-    pub fn resolved_threads(&self, n: usize) -> usize {
+    pub fn resolved_threads(&self, _n: usize) -> usize {
         match self.threads {
-            0 if n < AUTO_PARALLEL_MIN_NODES => 1,
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
@@ -590,29 +618,49 @@ impl EngineConfig {
 
 /// The reverse-edge permutation: for each directed edge `offsets[v] + p`
 /// (node `v`, port `p`, neighbor `w`), the index of the reverse edge
-/// `(w -> v)` in the CSR layout. Computed once per run in `O(n)`.
-/// Public for the shard partitioner (`lcl_shard`), which routes halos
-/// through it.
+/// `(w -> v)` in the CSR layout. Computed once per run in `O(n)` by two
+/// CSR walks, with no hashing and no edge-sized scratch. Public for the
+/// shard partitioner (`lcl_shard`), which routes halos through it.
 #[must_use]
 pub fn reverse_edges(tree: &Tree) -> Vec<u32> {
     let offsets = tree.offsets();
     let adjacency = tree.adjacency();
+    let n = tree.node_count();
     let mut rev = vec![0u32; adjacency.len()];
-    let mut open: HashMap<(u32, u32), u32> = HashMap::with_capacity(adjacency.len() / 2 + 1);
-    for v in tree.nodes() {
-        let base = offsets[v] as usize;
-        for (p, &w) in tree.neighbors(v).iter().enumerate() {
-            let e = (base + p) as u32;
-            let vu = v as u32;
-            let key = if vu < w { (vu, w) } else { (w, vu) };
-            match open.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(e);
+    // Pass 1: every directed edge `v -> w` lands in `w`'s own range, in
+    // ascending `v`.
+    let mut cursor = offsets[..n].to_vec();
+    for v in 0..n {
+        for e in offsets[v]..offsets[v + 1] {
+            let w = adjacency[e as usize] as usize;
+            rev[cursor[w] as usize] = e;
+            cursor[w] += 1;
+        }
+    }
+    drop(cursor);
+    // Pass 2: reorder each range from ascending-neighbor order into port
+    // order; the `k`-th entry is the edge from the `k`-th smallest
+    // neighbor.
+    let mut scratch: Vec<(u32, u32)> = Vec::new();
+    for w in 0..n {
+        let (lo, hi) = (offsets[w] as usize, offsets[w + 1] as usize);
+        let (ports, range) = (&adjacency[lo..hi], &mut rev[lo..hi]);
+        match ports.len() {
+            0 | 1 => {}
+            2 => {
+                if ports[0] > ports[1] {
+                    range.swap(0, 1);
                 }
-                Entry::Occupied(slot) => {
-                    let e0 = slot.remove();
-                    rev[e as usize] = e0;
-                    rev[e0 as usize] = e;
+            }
+            _ => {
+                scratch.clear();
+                scratch.extend(ports.iter().copied().zip(0u32..));
+                scratch.sort_unstable();
+                for (k, (key, _)) in scratch.iter_mut().enumerate() {
+                    *key = range[k];
+                }
+                for &(e, port) in &scratch {
+                    range[port as usize] = e;
                 }
             }
         }
@@ -936,9 +984,86 @@ struct RoundShared<'a> {
     mail_now: &'a [AtomicBool],
     /// Mail flags senders set this round for next round's recipients.
     mail_next: &'a [AtomicBool],
+    /// Last round's recipients, sorted and deduplicated, when they all
+    /// fit the mail logs; `None` after a busier round.
+    frontier: Option<&'a [u32]>,
     round: u64,
     /// Write-discipline checker, present only when arena checking is on.
     checker: Option<&'a ArenaChecker>,
+}
+
+/// A fixed-capacity list of mail recipients (global node indices). Each
+/// worker region logs its sends into one; the loop merges them into the
+/// next round's frontier. Cache-line aligned: neighboring workers' logs
+/// would otherwise contend on a shared line.
+#[repr(align(64))]
+struct MailLog {
+    len: usize,
+    nodes: [u32; MAIL_LOG_CAP],
+}
+
+impl MailLog {
+    fn new() -> Self {
+        MailLog {
+            len: 0,
+            nodes: [0; MAIL_LOG_CAP],
+        }
+    }
+
+    /// Logs `node`; once full, further recipients are dropped (the
+    /// round's total `sent` then rules the frontier out).
+    fn log(&mut self, node: usize) {
+        if let Some(slot) = self.nodes.get_mut(self.len) {
+            *slot = node as u32;
+            self.len += 1;
+        }
+    }
+
+    fn nodes(&self) -> &[u32] {
+        &self.nodes[..self.len]
+    }
+
+    /// Replaces the list with the sorted, deduplicated union of `logs`,
+    /// emptying them.
+    fn gather(&mut self, logs: &mut [MailLog]) {
+        self.len = 0;
+        for log in logs {
+            for i in 0..log.len {
+                self.log(log.nodes[i] as usize);
+            }
+            log.len = 0;
+        }
+        let nodes = &mut self.nodes[..self.len];
+        nodes.sort_unstable();
+        let mut kept = 0;
+        for i in 0..nodes.len() {
+            if kept == 0 || nodes[i] != nodes[kept - 1] {
+                nodes[kept] = nodes[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+/// What one round's regions did.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    terminated: usize,
+    sent: u64,
+    /// Running nodes examined.
+    visits: u64,
+}
+
+impl std::ops::Add for Tally {
+    type Output = Tally;
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            terminated: self.terminated + o.terminated,
+            sent: self.sent + o.sent,
+            visits: self.visits + o.visits,
+        }
+    }
 }
 
 /// One worker's contiguous slice of every per-node array plus its store
@@ -957,102 +1082,146 @@ struct Region<'a, P: Protocol, R> {
     /// Per-node wake hints: the next round in which the node must be
     /// stepped absent mail (`0` initially, so round 0 steps everyone).
     wakes: &'a mut [u64],
-    /// Per-chunk minimum of the running nodes' wakes; a lower bound that
-    /// is exact after every visit and untouched (hence still valid)
-    /// between visits.
+    /// Per-chunk lower bound on the running nodes' wakes: exact after a
+    /// full scan, only lowered by a frontier visit, untouched (hence
+    /// still valid) between visits. A bound that is too low costs one
+    /// extra scan, never a missed step.
     chunk_wakes: &'a mut [u64],
+    /// Recipients of this region's sends this round.
+    mail_log: &'a mut MailLog,
     store: R,
 }
 
 /// Executes one round over one region, visiting only chunks that are due
-/// or flagged for mail. Returns `(terminated, sent)`.
-fn step_region<P, R>(region: &mut Region<'_, P, R>, shared: &RoundShared<'_>) -> (usize, u64)
+/// or flagged for mail. A mailed chunk that is not due steps only its
+/// frontier nodes when last round's frontier is known; every other
+/// visited chunk is scanned in full.
+fn step_region<P, R>(region: &mut Region<'_, P, R>, shared: &RoundShared<'_>) -> Tally
 where
     P: Protocol,
     R: StoreRegion<P::Message>,
 {
     let round = shared.round;
-    let mut terminated = 0usize;
-    let mut sent = 0u64;
+    let mut tally = Tally::default();
     for c in 0..region.chunk_wakes.len() {
         let chunk = region.first_chunk + c;
         let flag = &shared.mail_now[chunk];
         // The owner is the only clearer; a plain load first keeps idle
         // chunks' cache lines in the shared state.
         let mail = flag.load(Ordering::Relaxed);
+        let due = region.chunk_wakes[c] <= round;
         if mail {
             flag.store(false, Ordering::Relaxed);
-        } else if region.chunk_wakes[c] > round {
+        } else if !due {
             continue;
         }
         region.store.open_chunk(chunk);
         let node_lo = c * shared.chunk_size;
         let node_hi = (node_lo + shared.chunk_size).min(region.machines.len());
-        let mut chunk_wake = u64::MAX;
-        for i in node_lo..node_hi {
-            let Some(machine) = region.machines[i].as_mut() else {
-                continue;
-            };
-            let v = region.start + i;
-            let base = shared.csr.offsets[v] as usize;
-            let ctx = &shared.contexts[v];
-            let due = region.wakes[i] <= round;
-            if !(due || mail) || !region.store.stage(base, ctx.degree, due) {
-                chunk_wake = chunk_wake.min(region.wakes[i]);
-                continue;
-            }
-            if let Some(checker) = shared.checker {
-                for p in 0..ctx.degree {
-                    checker.record_read(shared.csr.rev[base + p] as usize, round);
+        region.chunk_wakes[c] = match shared.frontier {
+            // No node is due, so only last round's recipients can step.
+            Some(frontier) if !due => {
+                let (lo, hi) = (region.start + node_lo, region.start + node_hi);
+                let from = frontier.partition_point(|&v| (v as usize) < lo);
+                let mut chunk_wake = region.chunk_wakes[c];
+                for &v in frontier[from..].iter().take_while(|&&v| (v as usize) < hi) {
+                    let i = v as usize - region.start;
+                    chunk_wake =
+                        chunk_wake.min(visit_node(region, shared, i, chunk, true, &mut tally));
                 }
+                chunk_wake
             }
-            let (inbox, mut outbox) = region.store.io(base, ctx.degree);
-            let decided = machine.step(ctx, round, &inbox, &mut outbox);
-            let wrote = outbox.sent();
-            if wrote > 0 {
-                sent += wrote as u64;
-                region.store.commit(base, ctx.degree, |p| {
-                    if let Some(checker) = shared.checker {
-                        checker.record_write(base + p, round, chunk);
-                    }
-                    let w = shared.csr.adjacency[base + p] as usize;
-                    shared.mail_next[w / shared.chunk_size].store(true, Ordering::Relaxed);
-                });
+            _ => {
+                let mut chunk_wake = u64::MAX;
+                for i in node_lo..node_hi {
+                    chunk_wake =
+                        chunk_wake.min(visit_node(region, shared, i, chunk, mail, &mut tally));
+                }
+                chunk_wake
             }
-            if let Some(output) = decided {
-                region.outputs[i] = Some(output);
-                region.rounds[i] = round as u32;
-                region.machines[i] = None;
-                terminated += 1;
-            } else {
-                let wake = machine.next_wake(ctx, round).max(round + 1);
-                region.wakes[i] = wake;
-                chunk_wake = chunk_wake.min(wake);
-            }
-        }
-        region.chunk_wakes[c] = chunk_wake;
+        };
     }
-    (terminated, sent)
+    tally
+}
+
+/// Examines node `i` of the region in a visited chunk (`mail`: the chunk
+/// is flagged): steps it when it is due or a message to it is waiting.
+/// Returns the node's wake afterwards, `u64::MAX` once it has terminated.
+fn visit_node<P, R>(
+    region: &mut Region<'_, P, R>,
+    shared: &RoundShared<'_>,
+    i: usize,
+    chunk: usize,
+    mail: bool,
+    tally: &mut Tally,
+) -> u64
+where
+    P: Protocol,
+    R: StoreRegion<P::Message>,
+{
+    let round = shared.round;
+    let Some(machine) = region.machines[i].as_mut() else {
+        return u64::MAX;
+    };
+    tally.visits += 1;
+    let v = region.start + i;
+    let base = shared.csr.offsets[v] as usize;
+    let ctx = &shared.contexts[v];
+    let due = region.wakes[i] <= round;
+    if !(due || mail) || !region.store.stage(base, ctx.degree, due) {
+        return region.wakes[i];
+    }
+    if let Some(checker) = shared.checker {
+        for p in 0..ctx.degree {
+            checker.record_read(shared.csr.rev[base + p] as usize, round);
+        }
+    }
+    let (inbox, mut outbox) = region.store.io(base, ctx.degree);
+    let decided = machine.step(ctx, round, &inbox, &mut outbox);
+    let wrote = outbox.sent();
+    if wrote > 0 {
+        tally.sent += wrote as u64;
+        let log = &mut *region.mail_log;
+        region.store.commit(base, ctx.degree, |p| {
+            if let Some(checker) = shared.checker {
+                checker.record_write(base + p, round, chunk);
+            }
+            let w = shared.csr.adjacency[base + p] as usize;
+            shared.mail_next[w / shared.chunk_size].store(true, Ordering::Relaxed);
+            log.log(w);
+        });
+    }
+    if let Some(output) = decided {
+        region.outputs[i] = Some(output);
+        region.rounds[i] = round as u32;
+        region.machines[i] = None;
+        tally.terminated += 1;
+        u64::MAX
+    } else {
+        let wake = machine.next_wake(ctx, round).max(round + 1);
+        region.wakes[i] = wake;
+        wake
+    }
 }
 
 /// Splits one pass's per-node and per-chunk arrays into per-region
-/// slices at `bounds` (global node cut points), pairing each with its
-/// store region.
+/// slices at `cuts` (global node cut points), pairing each with its
+/// store region and mail log. Lazy, so a one-region pass allocates
+/// nothing.
 #[allow(clippy::too_many_arguments)]
 fn split_regions<'a, P: Protocol, R>(
-    bounds: &[usize],
+    cuts: &'a [usize],
     chunk_size: usize,
     mut machines: &'a mut [Option<P>],
     mut outputs: &'a mut [Option<P::Output>],
     mut rounds: &'a mut [u32],
     mut wakes: &'a mut [u64],
     mut chunk_wakes: &'a mut [u64],
-    stores: impl Iterator<Item = R>,
-) -> Vec<Region<'a, P, R>> {
-    bounds
-        .windows(2)
+    stores: impl Iterator<Item = (R, &'a mut MailLog)> + 'a,
+) -> impl Iterator<Item = Region<'a, P, R>> + 'a {
+    cuts.windows(2)
         .zip(stores)
-        .map(|(w, store)| {
+        .map(move |(w, (store, mail_log))| {
             let (lo, hi) = (w[0], w[1]);
             let nodes = hi - lo;
             let (m, m_rest) = std::mem::take(&mut machines).split_at_mut(nodes);
@@ -1074,10 +1243,34 @@ fn split_regions<'a, P: Protocol, R>(
                 rounds: r,
                 wakes: wk,
                 chunk_wakes: cw,
+                mail_log,
                 store,
             }
         })
-        .collect()
+}
+
+/// An upper bound on the running nodes the pass over nodes `lo..hi`
+/// examines this round: the real length of every chunk it will scan in
+/// full plus the frontier's nodes in the pass. Zero exactly when no chunk
+/// of the pass is mailed or due; counting stops at
+/// [`AUTO_PARALLEL_MIN_NODES`], which is all the caller asks.
+fn pass_load(shared: &RoundShared<'_>, chunk_wakes: &[u64], lo: usize, hi: usize) -> usize {
+    let cs = shared.chunk_size;
+    let mut load = shared.frontier.map_or(0, |f| {
+        f.partition_point(|&v| (v as usize) < hi) - f.partition_point(|&v| (v as usize) < lo)
+    });
+    let (c0, c1) = (lo / cs, hi.div_ceil(cs));
+    for (c, &wake) in (c0..c1).zip(&chunk_wakes[c0..c1]) {
+        if load >= AUTO_PARALLEL_MIN_NODES {
+            break;
+        }
+        let full = wake <= shared.round
+            || shared.frontier.is_none() && shared.mail_now[c].load(Ordering::Relaxed);
+        if full {
+            load += ((c + 1) * cs).min(hi) - c * cs;
+        }
+    }
+    load
 }
 
 /// Runs a protocol on every node of `tree` until all nodes terminate,
@@ -1202,11 +1395,13 @@ where
 /// The round loop, over the message store `store` builds at run start.
 /// Nodes see `ambient_n` as the network size.
 ///
-/// Every executed round opens the store's round, then runs each pass:
-/// the pass's nodes are split into chunk-aligned worker regions, stepped
-/// inline or on scoped threads, and the store's pass hooks run around
-/// them. A round that ends with nothing in flight fast-forwards to the
-/// earliest wake.
+/// Every executed round runs each pass that has a mailed or due chunk.
+/// A pass that examines fewer than `AUTO_PARALLEL_MIN_NODES` (16,384)
+/// nodes is stepped inline as one region; a larger one is split
+/// into chunk-aligned worker regions on scoped threads. The store's pass
+/// hooks run around each pass. When a round's sends fit the mail logs,
+/// their recipients become the next round's frontier. A round that ends
+/// with nothing in flight fast-forwards to the earliest wake.
 ///
 /// # Errors
 ///
@@ -1283,6 +1478,9 @@ where
     let mut chunk_wakes: Vec<u64> = vec![0; chunk_count];
     let mail_a: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
     let mail_b: Vec<AtomicBool> = (0..chunk_count).map(|_| AtomicBool::new(false)).collect();
+    // One mail log per worker region, and the frontier they merge into.
+    let mut mail_logs: Vec<MailLog> = (0..workers).map(|_| MailLog::new()).collect();
+    let mut frontier = MailLog::new();
     // The checker's epochs persist across rounds (stale-slot expiry is
     // part of what it validates), so it lives outside the round loop.
     let checker = config
@@ -1291,6 +1489,10 @@ where
 
     let mut running = n;
     let mut messages: u64 = 0;
+    let mut node_visits: u64 = 0;
+    // Sends of the previous round: the frontier is complete while they
+    // fit one mail log.
+    let mut sent = 0u64;
     let mut round = 0u64;
     while running > 0 {
         if round > max_rounds {
@@ -1316,38 +1518,49 @@ where
             chunk_size,
             mail_now,
             mail_next,
+            frontier: (sent <= MAIL_LOG_CAP as u64).then(|| frontier.nodes()),
             round,
             checker: checker.as_ref(),
         };
-        let mut terminated = 0usize;
-        let mut sent = 0u64;
+        let mut tally = Tally::default();
         for (pass, bounds) in pass_bounds.iter().enumerate() {
             let (lo, hi) = (bounds[0], bounds[bounds.len() - 1]);
             let (c0, c1) = (lo / chunk_size, hi.div_ceil(chunk_size));
+            let load = pass_load(&shared, &chunk_wakes, lo, hi);
             // An idle pass would visit no chunk; skipping it outright
             // spares a multi-pass store its residency work.
-            if pass_bounds.len() > 1
-                && !(c0..c1).any(|c| mail_now[c].load(Ordering::Relaxed) || chunk_wakes[c] <= round)
-            {
+            if load == 0 {
                 continue;
             }
-            let regions = split_regions(
-                bounds,
-                chunk_size,
-                &mut machines[lo..hi],
-                &mut outputs[lo..hi],
-                &mut rounds[lo..hi],
-                &mut wakes[lo..hi],
-                &mut chunk_wakes[c0..c1],
-                store.regions(csr, pass, round, bounds)?,
-            );
-            let (t, s) = match <[_; 1]>::try_from(regions) {
-                Ok([mut region]) => step_region(&mut region, &shared),
-                Err(regions) => {
+            // A small pass runs inline as one region: spawning would cost
+            // more than its work.
+            let whole = [lo, hi];
+            let cuts = if load < AUTO_PARALLEL_MIN_NODES {
+                &whole[..]
+            } else {
+                bounds
+            };
+            let stepped = {
+                let stores = store.regions(csr, pass, round, cuts)?;
+                let mut regions = split_regions(
+                    cuts,
+                    chunk_size,
+                    &mut machines[lo..hi],
+                    &mut outputs[lo..hi],
+                    &mut rounds[lo..hi],
+                    &mut wakes[lo..hi],
+                    &mut chunk_wakes[c0..c1],
+                    stores.zip(mail_logs.iter_mut()),
+                );
+                if cuts.len() == 2 {
+                    let Some(mut region) = regions.next() else {
+                        unreachable!("a one-window cut yields one region")
+                    };
+                    step_region(&mut region, &shared)
+                } else {
                     let shared = &shared;
                     std::thread::scope(|scope| {
                         let handles: Vec<_> = regions
-                            .into_iter()
                             .map(|mut region| scope.spawn(move || step_region(&mut region, shared)))
                             .collect();
                         handles
@@ -1359,17 +1572,19 @@ where
                                 h.join()
                                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                             })
-                            .fold((0usize, 0u64), |(t, c), (dt, dc)| (t + dt, c + dc))
+                            .fold(Tally::default(), |a, b| a + b)
                     })
                 }
             };
-            terminated += t;
-            sent += s;
+            tally = tally + stepped;
             store.end_pass(pass, round);
         }
-        running -= terminated;
-        messages += sent;
-        terminated_in.push(terminated as u64);
+        running -= tally.terminated;
+        messages += tally.sent;
+        node_visits += tally.visits;
+        sent = tally.sent;
+        terminated_in.push(tally.terminated as u64);
+        frontier.gather(&mut mail_logs);
         round += 1;
         // Round fast-forward: with nothing in flight the next event is the
         // earliest wake; skip the quiet rounds wholesale (they would all be
@@ -1399,6 +1614,7 @@ where
         profile,
         messages,
         peak_arena_bytes: store.peak_bytes(),
+        node_visits,
     })
 }
 
@@ -1774,20 +1990,162 @@ pub(crate) mod tests {
 
     #[test]
     fn reverse_edges_are_involutive() {
-        let tree = lcl_graph::generators::random_bounded_degree_tree(200, 5, 3);
-        let rev = reverse_edges(&tree);
-        let offsets = tree.offsets();
-        let adjacency = tree.adjacency();
-        for v in tree.nodes() {
-            for (p, &w) in tree.neighbors(v).iter().enumerate() {
-                let e = offsets[v] as usize + p;
-                let r = rev[e] as usize;
-                // The reverse edge belongs to w and points back at v.
-                assert_eq!(adjacency[r] as usize, v);
-                assert!(r >= offsets[w as usize] as usize);
-                assert!(r < offsets[w as usize + 1] as usize);
-                assert_eq!(rev[r] as usize, e, "involution");
+        let random = lcl_graph::generators::random_bounded_degree_tree(200, 5, 3);
+        // Port order follows edge-insertion order: reversed and rotated
+        // edge lists put neighbors out of ascending order, so both the
+        // degree-2 swap and the sorted reorder of larger degrees run.
+        let mut shuffled: Vec<(NodeId, NodeId)> = random.edges().map(|(u, v)| (v, u)).collect();
+        shuffled.reverse();
+        shuffled.rotate_left(77);
+        let backwards: Vec<(NodeId, NodeId)> = (0..59).rev().map(|v| (v + 1, v)).collect();
+        for tree in [
+            random.clone(),
+            Tree::from_edges(200, &shuffled).unwrap(),
+            path(60),
+            Tree::from_edges(60, &backwards).unwrap(),
+            star(40),
+            path(1),
+        ] {
+            let rev = reverse_edges(&tree);
+            let offsets = tree.offsets();
+            let adjacency = tree.adjacency();
+            for v in tree.nodes() {
+                for (p, &w) in tree.neighbors(v).iter().enumerate() {
+                    let e = offsets[v] as usize + p;
+                    let r = rev[e] as usize;
+                    // The reverse edge belongs to w and points back at v.
+                    assert_eq!(adjacency[r] as usize, v);
+                    assert!(r >= offsets[w as usize] as usize);
+                    assert!(r < offsets[w as usize + 1] as usize);
+                    assert_eq!(rev[r] as usize, e, "involution");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn a_two_front_wave_examines_only_its_recipients() {
+        // Two tokens cross a 20k path, one node apiece per round. Rounds 0
+        // and 1 examine every node (everyone is due), every later round
+        // only the two recipients. Scanning the two mailed chunks in full
+        // would examine 2 x 1024 nodes per round instead.
+        let n = 20_000;
+        let tree = path(n);
+        let ids = Ids::sequential(n);
+        let visits = |threads| {
+            let out = run_sync_with(
+                &tree,
+                &ids,
+                |_| EndpointFlood {
+                    seen: vec![],
+                    self_is_end: false,
+                },
+                n as u64,
+                &EngineConfig {
+                    chunk_size: 1024,
+                    threads,
+                    check_arena: false,
+                    shard: None,
+                },
+            )
+            .unwrap();
+            assert_eq!(out.stats.worst_case(), (n - 1) as u64);
+            out.node_visits
+        };
+        let expected = (2 * n + 2 * (n - 2)) as u64;
+        for threads in [1, 2, 3] {
+            assert_eq!(visits(threads), expected, "threads={threads}");
+        }
+    }
+
+    /// `MinFlood` that marks, per round, whether any step ran off the
+    /// thread that called the engine.
+    struct Tracked<'a> {
+        flood: MinFlood,
+        caller: std::thread::ThreadId,
+        spawned: &'a AtomicU64,
+    }
+
+    impl Protocol for Tracked<'_> {
+        type Message = u64;
+        type Output = u64;
+        fn step(
+            &mut self,
+            ctx: &NodeContext,
+            round: u64,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<'_, u64>,
+        ) -> Option<u64> {
+            if std::thread::current().id() != self.caller {
+                self.spawned.fetch_or(1 << round, Ordering::Relaxed);
+            }
+            self.flood.step(ctx, round, inbox, outbox)
+        }
+    }
+
+    #[test]
+    fn dense_rounds_fan_out_and_sparse_rounds_run_inline_identically() {
+        // Every chunk is due in rounds 0..=8, so those rounds examine all
+        // n >= 2 x AUTO_PARALLEL_MIN_NODES nodes and fan out; afterwards
+        // only the first 3000 nodes run on, a few chunks' worth, inline.
+        let n = 2 * AUTO_PARALLEL_MIN_NODES + 1000;
+        let tree = path(n);
+        let ids = Ids::random(n, 11);
+        let budget = |v: usize| (if v < 3000 { 24 + v % 17 } else { v % 9 }) as u64;
+        let reference = crate::reference_engine::run_reference(
+            &tree,
+            &ids,
+            |c| MinFlood {
+                best: c.id,
+                budget: budget(c.node),
+            },
+            100,
+        )
+        .unwrap();
+        let last = reference.stats.worst_case();
+        assert!(last < 64, "round marks fit one word");
+        let mut baseline: Option<SyncOutcome<u64>> = None;
+        for threads in [1, 2, 3] {
+            let spawned = AtomicU64::new(0);
+            let caller = std::thread::current().id();
+            let out = run_sync_with(
+                &tree,
+                &ids,
+                |c| Tracked {
+                    flood: MinFlood {
+                        best: c.id,
+                        budget: budget(c.node),
+                    },
+                    caller,
+                    spawned: &spawned,
+                },
+                100,
+                &EngineConfig {
+                    chunk_size: 0,
+                    threads,
+                    check_arena: true,
+                    shard: None,
+                },
+            )
+            .unwrap();
+            let spawned = spawned.into_inner();
+            if threads == 1 {
+                assert_eq!(spawned, 0, "one thread never spawns");
+            } else {
+                assert_eq!(spawned, (1 << 9) - 1, "t={threads}: rounds 0..=8 fan out");
+            }
+            assert_eq!(out.outputs, reference.outputs, "t={threads}");
+            assert_eq!(out.stats, reference.stats, "t={threads}");
+            let Some(base) = &baseline else {
+                baseline = Some(out);
+                continue;
+            };
+            assert_eq!(out.outputs, base.outputs, "t={threads}");
+            assert_eq!(out.stats, base.stats, "t={threads}");
+            assert_eq!(out.profile, base.profile, "t={threads}");
+            assert_eq!(out.messages, base.messages, "t={threads}");
+            assert_eq!(out.peak_arena_bytes, base.peak_arena_bytes, "t={threads}");
+            assert_eq!(out.node_visits, base.node_visits, "t={threads}");
         }
     }
 
@@ -1991,6 +2349,77 @@ pub(crate) mod tests {
         // node 2 never hears anything and wakes at 50 on its own.
         assert_eq!(out.outputs, vec![0, 1, u64::MAX]);
         assert_eq!(out.stats.round(1), 50);
+    }
+
+    #[test]
+    fn mail_can_bring_a_wake_forward() {
+        // A relay along a path: each node sleeps until mail, then waits
+        // `DELAY` rounds on a wake hint before passing the token on. The
+        // hint is set by a frontier visit of a chunk that is not due, so
+        // that visit must lower the chunk's wake bound; otherwise the
+        // node sleeps through its timer and the run stalls.
+        const DELAY: u64 = 3;
+        struct Timer {
+            fire_at: Option<u64>,
+        }
+        impl Protocol for Timer {
+            type Message = ();
+            type Output = u64;
+            fn step(
+                &mut self,
+                ctx: &NodeContext,
+                round: u64,
+                inbox: &Inbox<'_, ()>,
+                outbox: &mut Outbox<'_, ()>,
+            ) -> Option<u64> {
+                if round == 0 && ctx.node == 0 {
+                    outbox.broadcast(());
+                    return Some(0);
+                }
+                if self.fire_at.is_none() && !inbox.is_empty() {
+                    self.fire_at = Some(round + DELAY);
+                }
+                if self.fire_at == Some(round) {
+                    outbox.broadcast(());
+                    return Some(round);
+                }
+                None
+            }
+            fn next_wake(&self, _ctx: &NodeContext, _now: u64) -> u64 {
+                self.fire_at.unwrap_or(u64::MAX)
+            }
+        }
+        let n = 10;
+        let tree = path(n);
+        let ids = Ids::sequential(n);
+        let reference =
+            crate::reference_engine::run_reference(&tree, &ids, |_| Timer { fire_at: None }, 100)
+                .unwrap();
+        for v in 0..n {
+            assert_eq!(reference.outputs[v], v as u64 * (DELAY + 1), "node {v}");
+        }
+        for chunk_size in [1, 4, n] {
+            for threads in [1, 2] {
+                let out = run_sync_with(
+                    &tree,
+                    &ids,
+                    |_| Timer { fire_at: None },
+                    100,
+                    &EngineConfig {
+                        chunk_size,
+                        threads,
+                        check_arena: true,
+                        shard: None,
+                    },
+                )
+                .unwrap();
+                assert_eq!(
+                    out.outputs, reference.outputs,
+                    "cs={chunk_size} t={threads}"
+                );
+                assert_eq!(out.stats, reference.stats, "cs={chunk_size} t={threads}");
+            }
+        }
     }
 
     #[test]

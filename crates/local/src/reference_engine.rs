@@ -63,6 +63,7 @@ where
     let mut next_inboxes: Vec<Vec<(usize, P::Message)>> = vec![Vec::new(); n];
     let mut running = n;
     let mut messages: u64 = 0;
+    let mut node_visits: u64 = 0;
 
     // Port of `v` as seen from neighbor `w`: index of v in w's list.
     let reverse_port = |v: NodeId, w: NodeId| -> usize {
@@ -88,6 +89,7 @@ where
                 let Some(machine) = machines[v].as_mut() else {
                     continue;
                 };
+                node_visits += 1;
                 let inbox = Inbox::list(&inboxes[v]);
                 let mut outbox = Outbox::list(&mut outbound, contexts[v].degree);
                 machine.step(&contexts[v], round, &inbox, &mut outbox)
@@ -131,6 +133,7 @@ where
         messages,
         // The reference engine keeps per-round message lists, not arenas.
         peak_arena_bytes: 0,
+        node_visits,
     })
 }
 
