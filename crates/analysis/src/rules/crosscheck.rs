@@ -1,4 +1,4 @@
-//! `LCL-X01`/`X02`/`X03`: invariant cross-checks between workspace layers.
+//! `LCL-X01`…`X05`: invariant cross-checks between workspace layers.
 //!
 //! These rules do not inspect single files; they assert that artifacts
 //! which must stay in lockstep actually do:
@@ -77,35 +77,44 @@ pub fn check(files: &[SourceFile], root: &Path, findings: &mut Vec<Finding>) {
     check_shard_knob_coverage(files, findings);
 }
 
+/// The names the `suites` among `files` spell: every identifier, plus
+/// every string literal (quotes stripped) when `strings` is set. `None`
+/// when no suite file was scanned, so the caller's check no-ops.
+fn names_in(files: &[SourceFile], suites: &[&str], strings: bool) -> Option<BTreeSet<String>> {
+    let mut named = BTreeSet::new();
+    let mut scanned = false;
+    for file in files.iter().filter(|f| suites.contains(&f.rel.as_str())) {
+        scanned = true;
+        for t in &file.toks {
+            match t.kind {
+                TokKind::Ident => {
+                    named.insert(t.text.clone());
+                }
+                TokKind::Str if strings => {
+                    named.insert(t.text.trim_matches('"').to_string());
+                }
+                _ => {}
+            }
+        }
+    }
+    scanned.then_some(named)
+}
+
 /// `LCL-X05`: every `ShardConfig` knob must be swept by the shard
 /// differential suite. The ground truth is
 /// [`lcl_local::engine::SHARD_KNOBS`] — the engine's own list of its
 /// sharding knobs — so adding a knob to `ShardConfig` without teaching
 /// the differential suite to vary it fails `lcl analyze` immediately.
 fn check_shard_knob_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let Some(suite) = files.iter().find(|f| f.rel == SHARD_SUITE) else {
+    // Knobs may be named via string literals (e.g. in a coverage ledger).
+    let Some(named) = names_in(files, &[SHARD_SUITE], true) else {
         return;
     };
-    let mut named: BTreeSet<String> = BTreeSet::new();
-    for t in &suite.toks {
-        match t.kind {
-            TokKind::Ident => {
-                named.insert(t.text.clone());
-            }
-            // Knobs may be named via string literals (e.g. in a
-            // coverage ledger); strip the quotes so they compare
-            // exactly, as in the wire-coverage check.
-            TokKind::Str => {
-                named.insert(t.text.trim_matches('"').to_string());
-            }
-            _ => {}
-        }
-    }
     for &knob in lcl_local::engine::SHARD_KNOBS {
         if !named.contains(knob) {
             findings.push(Finding {
                 rule: "LCL-X05",
-                file: suite.rel.clone(),
+                file: SHARD_SUITE.to_string(),
                 line: 1,
                 col: 1,
                 item: knob.to_string(),
@@ -125,23 +134,10 @@ fn check_shard_knob_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) 
 /// literals nor its idents is a variant that can silently drift from
 /// the golden schema and from external clients.
 fn check_wire_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let Some(suite) = files.iter().find(|f| f.rel == WIRE_SUITE) else {
+    // String literals carry the wire tags (`"overloaded"`).
+    let Some(named) = names_in(files, &[WIRE_SUITE], true) else {
         return;
     };
-    let mut named: BTreeSet<String> = BTreeSet::new();
-    for t in &suite.toks {
-        match t.kind {
-            TokKind::Ident => {
-                named.insert(t.text.clone());
-            }
-            // String literals carry the wire tags (`"overloaded"`);
-            // strip the quotes so tags compare exactly.
-            TokKind::Str => {
-                named.insert(t.text.trim_matches('"').to_string());
-            }
-            _ => {}
-        }
-    }
     let tags = lcl_service::protocol::REQUEST_OPS
         .iter()
         .map(|op| ("request op", *op))
@@ -154,7 +150,7 @@ fn check_wire_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
         if !named.contains(tag) {
             findings.push(Finding {
                 rule: "LCL-X04",
-                file: suite.rel.clone(),
+                file: WIRE_SUITE.to_string(),
                 line: 1,
                 col: 1,
                 item: tag.to_string(),
@@ -169,21 +165,9 @@ fn check_wire_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
 }
 
 fn check_protocol_coverage(files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let mut exercised: BTreeSet<&str> = BTreeSet::new();
-    let mut harness_present = false;
-    for file in files {
-        if file.rel == DIFFERENTIAL || file.rel == ADAPTERS {
-            harness_present = true;
-            for t in &file.toks {
-                if t.kind == TokKind::Ident {
-                    exercised.insert(t.text.as_str());
-                }
-            }
-        }
-    }
-    if !harness_present {
+    let Some(exercised) = names_in(files, &[DIFFERENTIAL, ADAPTERS], false) else {
         return;
-    }
+    };
     for file in files {
         if !file.rel.starts_with(PROTOCOLS_DIR) {
             continue;
@@ -222,21 +206,11 @@ fn check_adversarial_coverage(files: &[SourceFile], findings: &mut Vec<Finding>)
     let Some(generators) = files.iter().find(|f| f.rel == GENERATORS) else {
         return;
     };
-    let mut exercised: BTreeSet<&str> = BTreeSet::new();
-    let mut suite_present = false;
-    for file in files {
-        if CHURN_SUITES.contains(&file.rel.as_str()) {
-            suite_present = true;
-            for t in &file.toks {
-                if t.kind == TokKind::Ident {
-                    exercised.insert(t.text.as_str());
-                }
-            }
-        }
-    }
-    if !suite_present {
+    // Identifiers only: `crates/bench/src/classify.rs` spells family
+    // names as string literals, which are not a generator call.
+    let Some(exercised) = names_in(files, CHURN_SUITES, false) else {
         return;
-    }
+    };
     for &family in ADVERSARIAL_FAMILIES {
         let Some(f) = generators
             .model

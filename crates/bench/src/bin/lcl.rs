@@ -62,7 +62,7 @@ use lcl_bench::figures::{figure_names, run_figure, FigureOpts};
 use lcl_bench::report::{f1, f3, save_json, schema_lines, Table};
 use lcl_core::problem_spec::ProblemSpec;
 use lcl_harness::{
-    classify, find, plan, registry, run_timed, PlanError, RunConfig, Session, SweepReport,
+    classify, plan, resolver, run_timed, PlanError, RunConfig, Session, SweepReport,
 };
 use lcl_local::engine::{EngineConfig, ShardConfig};
 use serde::Serialize;
@@ -137,7 +137,7 @@ fn cmd_list() -> Result<(), String> {
         ],
     );
     let cfg = RunConfig::default();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let kinds: Vec<String> = algo
             .supported_kinds()
             .iter()
@@ -374,7 +374,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("`lcl run` needs an algorithm name (see `lcl list`)")?;
-    let algo = find(name).ok_or_else(|| format!("unknown algorithm `{name}` (see `lcl list`)"))?;
+    let algo = resolver()
+        .find(name)
+        .ok_or_else(|| format!("unknown algorithm `{name}` (see `lcl list`)"))?;
     let flags = Flags { args: &args[1..] };
     flags.ensure_known(
         &[
@@ -590,7 +592,7 @@ fn cmd_baseline(args: &[String]) -> Result<(), String> {
     let sizes = vec![base / 4, base / 2, base];
     let cfg = RunConfig::default();
     let mut reports = Vec::new();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let mut session = Session::new();
         for &n in &sizes {
             session

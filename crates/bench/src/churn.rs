@@ -399,7 +399,7 @@ fn run_headline(scale: &ChurnScale) -> Result<ChurnHeadline, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_harness::find;
+    use lcl_harness::resolver;
 
     #[test]
     fn presets_resolve() {
@@ -427,7 +427,9 @@ mod tests {
     fn matrix_bases_are_supported() {
         let scale = churn_scale("tiny").unwrap();
         for (name, spec) in matrix(&scale) {
-            let algo = find(name).unwrap_or_else(|| panic!("`{name}` not registered"));
+            let algo = resolver()
+                .find(name)
+                .unwrap_or_else(|| panic!("`{name}` not registered"));
             assert!(
                 algo.supports(spec.kind()),
                 "{name} does not support {}",

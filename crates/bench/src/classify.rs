@@ -44,7 +44,7 @@
 
 use crate::report::{f3, save_json, Table};
 use lcl_core::landscape::ComplexityClass;
-use lcl_harness::{registry, Algorithm, InstanceSpec, RunConfig, Session};
+use lcl_harness::{resolver, Algorithm, InstanceSpec, RunConfig, Session};
 use serde::Serialize;
 
 /// Relative-RMSE penalty per free parameter beyond the constant model's
@@ -396,7 +396,7 @@ pub fn run_classify(preset: &str, strict: bool) -> Result<(), String> {
     );
     let mut rows = Vec::new();
     let mut inconsistent = Vec::new();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let (summary, _) = classify_algorithm(*algo, &scale)?;
         table.row(&[
             summary.algorithm.clone(),

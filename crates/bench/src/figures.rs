@@ -231,7 +231,7 @@ fn fig2_empirical(opts: &FigureOpts) -> Result<serde::Value, String> {
         &["algorithm", "landscape cell", "theory (node-avg)", "fitted"],
     );
     let mut algorithms = Vec::new();
-    for algo in lcl_harness::registry() {
+    for algo in lcl_harness::resolver().algorithms() {
         let (summary, _) = crate::classify::classify_algorithm(*algo, &scale)?;
         table.row(&[
             summary.algorithm.clone(),

@@ -1,7 +1,7 @@
 //! Measurement helpers shared by the experiment figures, built on the
 //! unified `lcl_harness` execution API.
 
-use lcl_harness::{find, run_timed, InstanceSpec, RunConfig, RunRecord};
+use lcl_harness::{resolver, run_timed, InstanceSpec, RunConfig, RunRecord};
 use lcl_local::math::{fit_power_law, log_star, PowerLawFit};
 use serde::Serialize;
 
@@ -41,7 +41,9 @@ impl From<&RunRecord> for Point {
 /// failures — all harness bugs from the bench crate's point of view.
 #[must_use]
 pub fn run_single(algorithm: &str, spec: InstanceSpec, config: RunConfig) -> RunRecord {
-    let algo = find(algorithm).unwrap_or_else(|| panic!("unknown algorithm `{algorithm}`"));
+    let algo = resolver()
+        .find(algorithm)
+        .unwrap_or_else(|| panic!("unknown algorithm `{algorithm}`"));
     let instance = spec
         .build()
         .unwrap_or_else(|e| panic!("spec {} failed to build: {e}", spec.describe()));

@@ -18,7 +18,7 @@
 //! than the same factor.
 
 use crate::report::{f1, f3, save_json, Table};
-use lcl_harness::{find, registry, run_timed, InstanceSpec, RunConfig, ScaleConfig, Session};
+use lcl_harness::{resolver, run_timed, InstanceSpec, RunConfig, ScaleConfig, Session};
 use lcl_local::engine::{EngineConfig, ShardConfig};
 use serde::{Serialize, Value};
 
@@ -584,7 +584,7 @@ pub fn perf_gate(threshold: f64) -> Result<(), String> {
         ],
     );
     let mut failures = Vec::new();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let report = reports
             .iter()
             .find(|r| field(r, "algorithm").and_then(as_str) == Some(algo.name()));
@@ -609,12 +609,8 @@ pub fn perf_gate(threshold: f64) -> Result<(), String> {
         let cfg = RunConfig::default();
         let spec = algo.default_spec(mid, &cfg);
         let instance = spec.build().map_err(|e| e.to_string())?;
-        let fresh = run_timed(
-            find(algo.name()).expect("registry name"),
-            &instance,
-            &RunConfig::seeded(mid as u64),
-        )
-        .map_err(|e| e.to_string())?;
+        let fresh = run_timed(*algo, &instance, &RunConfig::seeded(mid as u64))
+            .map_err(|e| e.to_string())?;
         // Sub-millisecond baselines are all noise; clamp the denominator.
         let ratio = fresh.elapsed_ms / baseline_ms.max(1.0);
         // Node-averaged rounds are deterministic per (spec, seed); any
@@ -671,7 +667,8 @@ mod tests {
     fn suite_covers_the_whole_registry() {
         let mut suite_names: Vec<&str> = suite().iter().map(|e| e.algorithm).collect();
         suite_names.sort_unstable();
-        let mut registry_names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+        let mut registry_names: Vec<&str> =
+            resolver().algorithms().iter().map(|a| a.name()).collect();
         registry_names.sort_unstable();
         assert_eq!(
             suite_names, registry_names,
@@ -682,7 +679,9 @@ mod tests {
     #[test]
     fn suite_names_resolve_in_registry() {
         for entry in suite() {
-            let algo = find(entry.algorithm).expect("suite algorithm registered");
+            let algo = resolver()
+                .find(entry.algorithm)
+                .expect("suite algorithm registered");
             let spec = (entry.spec)(4_096);
             assert!(algo.supports(spec.kind()), "{}", entry.algorithm);
         }

@@ -21,7 +21,8 @@ fn list_names_every_registry_algorithm() {
     let output = lcl(&["list"]);
     assert!(output.status.success(), "lcl list failed: {output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for name in lcl_harness::registry().iter().map(|a| a.name()) {
+    for algo in lcl_harness::resolver().algorithms() {
+        let name = algo.name();
         assert!(stdout.contains(name), "lcl list is missing `{name}`");
     }
 }
@@ -103,7 +104,8 @@ fn classify_runs_at_tiny_scale() {
     let output = lcl(&["classify", "--scale", "tiny"]);
     assert!(output.status.success(), "lcl classify failed: {output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    for name in lcl_harness::registry().iter().map(|a| a.name()) {
+    for algo in lcl_harness::resolver().algorithms() {
+        let name = algo.name();
         assert!(stdout.contains(name), "classify table is missing `{name}`");
     }
     assert!(stdout.contains("fitted"), "stdout: {stdout}");

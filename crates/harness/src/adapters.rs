@@ -1361,7 +1361,7 @@ impl Algorithm for PathLclSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::registry;
+    use crate::registry::resolver;
 
     #[test]
     fn generic_helper_matches_both_regimes() {
@@ -1391,7 +1391,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_kebab() {
-        let mut names: Vec<_> = registry().iter().map(|a| a.name()).collect();
+        let mut names: Vec<_> = resolver().algorithms().iter().map(|a| a.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 11);

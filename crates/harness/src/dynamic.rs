@@ -41,7 +41,7 @@
 
 use crate::algorithm::{run_timed, RegionRun, RunConfig, RunRecord, SessionScope};
 use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
-use crate::registry::find;
+use crate::registry::resolver;
 use crate::Algorithm;
 use lcl_core::churn::ChurnScript;
 use lcl_graph::surgery::{churn_batch, extract_components, OpWeights, ShapeDiscipline};
@@ -148,8 +148,9 @@ impl DynamicSession {
         script: ChurnScript,
         cfg: RunConfig,
     ) -> Result<Self, HarnessError> {
-        let algo =
-            find(algorithm).ok_or_else(|| HarnessError::UnknownAlgorithm(algorithm.into()))?;
+        let algo = resolver()
+            .find(algorithm)
+            .ok_or_else(|| HarnessError::UnknownAlgorithm(algorithm.into()))?;
         script.validate().map_err(HarnessError::BadSpec)?;
         let instance = base.build()?;
         let tree = instance.tree().clone();

@@ -53,7 +53,7 @@ impl fmt::Display for HarnessError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HarnessError::UnknownAlgorithm(name) => {
-                write!(f, "unknown algorithm `{name}` (see `registry()`)")
+                write!(f, "unknown algorithm `{name}` (see `lcl list`)")
             }
             HarnessError::UnsupportedInstance { algorithm, kind } => {
                 write!(

@@ -13,8 +13,8 @@
 //!   (name, landscape class, supported instance kinds, a
 //!   [`solves`](Algorithm::solves) bid on declarative problems,
 //!   `run(&Instance, &RunConfig) -> RunRecord`),
-//! - [`resolver()`] — the capability index over all eleven solvers
-//!   ([`registry()`] remains as a thin deprecated shim over it),
+//! - [`resolver()`] — the capability index over all eleven solvers:
+//!   [`Resolver::algorithms`] lists them, [`Resolver::find`] names one,
 //! - [`InstanceSpec`] / [`Instance`] — declarative instance descriptions
 //!   wrapping the generators (paths, `LowerBoundGraph`,
 //!   `WeightedConstruction`) with cached peelings,
@@ -28,11 +28,11 @@
 //!   serializable [`RunRecord`]s and [`SweepReport`]s.
 //!
 //! ```
-//! use lcl_harness::{registry, InstanceSpec, RunConfig, Session};
+//! use lcl_harness::{resolver, InstanceSpec, RunConfig, Session};
 //!
 //! // Every solver of the landscape is one resolver entry (the ten
 //! // paper algorithms plus the table-driven path-LCL solver).
-//! assert_eq!(registry().len(), 11);
+//! assert_eq!(resolver().algorithms().len(), 11);
 //!
 //! // Run a seeded batch of the Θ(n) baseline over two path sizes.
 //! let mut session = Session::new();
@@ -88,5 +88,5 @@ pub use plan_cache::{classify_cached, plan_cache_stats, plan_cached};
 pub use planner::{
     canonical_instance, classify, plan, ClassSource, Classification, Plan, PlanError, SolverFit,
 };
-pub use registry::{find, registry, resolver, Resolver};
+pub use registry::{resolver, Resolver};
 pub use session::{FitSummary, ScaleConfig, Session, SessionBuilder, SweepPoint, SweepReport};

@@ -1,12 +1,10 @@
 //! The capability-indexed solver registry.
 //!
-//! Since ISSUE 5 the registry is problem-first: the [`Resolver`] owns
-//! every solver in the workspace and matches declarative
-//! [`ProblemSpec`]s against the bids each [`Algorithm`] places via
-//! [`Algorithm::solves`]. The historical [`registry()`] function remains
-//! as a thin shim over the resolver's solver table so existing callers
-//! (figure code, sweeps, tests) compile and behave unchanged while they
-//! migrate to [`resolver()`] / the planner.
+//! The registry is problem-first: the [`Resolver`] owns every solver in
+//! the workspace and matches declarative [`ProblemSpec`]s against the
+//! bids each [`Algorithm`] places via [`Algorithm::solves`]. Callers
+//! reach it through [`resolver()`]: [`Resolver::algorithms`] lists the
+//! solvers in stable order and [`Resolver::find`] looks one up by name.
 
 use crate::adapters::{
     Apoly, DfreeA, FastDecomposition, GenericColoring, LabelingSolver, LinialColoring,
@@ -108,46 +106,26 @@ pub fn resolver() -> &'static Resolver {
     &RESOLVER
 }
 
-/// Every algorithm of the landscape, one entry per realized cell.
-///
-/// *Deprecated shim*: this is now a thin view over
-/// [`resolver()::algorithms()`](Resolver::algorithms); new code should
-/// plan problems through [`resolver()`] / `lcl_harness::planner` instead
-/// of picking algorithms by hand. Kept so downstream figure code
-/// migrates incrementally — iteration order is unchanged, with the
-/// table-driven `path-lcl` solver appended after the original ten.
-#[must_use]
-pub fn registry() -> &'static [&'static dyn Algorithm] {
-    resolver().algorithms()
-}
-
-/// Looks an algorithm up by its registry name.
-#[must_use]
-pub fn find(name: &str) -> Option<&'static dyn Algorithm> {
-    resolver().find(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_has_eleven_entries() {
-        assert_eq!(registry().len(), 11);
-        assert_eq!(registry().len(), resolver().algorithms().len());
+        assert_eq!(resolver().algorithms().len(), 11);
     }
 
     #[test]
     fn find_by_name() {
-        assert!(find("apoly").is_some());
-        assert!(find("a35").is_some());
-        assert!(find("path-lcl").is_some());
-        assert!(find("no-such-algorithm").is_none());
+        assert!(resolver().find("apoly").is_some());
+        assert!(resolver().find("a35").is_some());
+        assert!(resolver().find("path-lcl").is_some());
+        assert!(resolver().find("no-such-algorithm").is_none());
     }
 
     #[test]
     fn every_entry_declares_support() {
-        for algo in registry() {
+        for algo in resolver().algorithms() {
             assert!(
                 !algo.supported_kinds().is_empty(),
                 "{} supports nothing",

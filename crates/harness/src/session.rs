@@ -3,7 +3,7 @@
 use crate::algorithm::{run_timed, Algorithm, RunConfig, RunRecord};
 use crate::instance::{HarnessError, Instance, InstanceSpec};
 use crate::planner::{plan, PlanError};
-use crate::registry::find;
+use crate::registry::resolver;
 use lcl_core::problem_spec::ProblemSpec;
 use lcl_local::math::fit_power_law;
 use serde::Serialize;
@@ -133,8 +133,9 @@ impl Session {
         spec: InstanceSpec,
         config: RunConfig,
     ) -> Result<&mut Self, HarnessError> {
-        let algo =
-            find(algorithm).ok_or_else(|| HarnessError::UnknownAlgorithm(algorithm.to_string()))?;
+        let algo = resolver()
+            .find(algorithm)
+            .ok_or_else(|| HarnessError::UnknownAlgorithm(algorithm.to_string()))?;
         if !algo.supports(spec.kind()) {
             return Err(HarnessError::UnsupportedInstance {
                 algorithm: algo.name().to_string(),

@@ -18,7 +18,7 @@ use lcl_core::churn::ChurnScript;
 use lcl_graph::generators::{
     broom, caterpillar, complete_ary_tree, heavy_path_skewed, ladder, spider,
 };
-use lcl_harness::{find, registry, DynamicSession, InstanceSpec, RunConfig};
+use lcl_harness::{resolver, DynamicSession, InstanceSpec, RunConfig};
 use lcl_local::engine::EngineConfig;
 
 /// The preset mixes, trimmed to a volume the full sweep can afford.
@@ -50,7 +50,8 @@ fn base_spec(name: &str) -> InstanceSpec {
             height: 4,
         },
         "path-lcl" => InstanceSpec::Path { n: 96 },
-        other => find(other)
+        other => resolver()
+            .find(other)
             .unwrap_or_else(|| panic!("`{other}` not in registry"))
             .smallest_spec(),
     }
@@ -368,7 +369,7 @@ fn every_registry_solver_is_covered() {
         "labeling-solver",
         "path-lcl",
     ];
-    let mut names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+    let mut names: Vec<&str> = resolver().algorithms().iter().map(|a| a.name()).collect();
     names.sort_unstable();
     let mut expected: Vec<&str> = covered.to_vec();
     expected.sort_unstable();
@@ -378,7 +379,7 @@ fn every_registry_solver_is_covered() {
         let spec = base_spec(name);
         let kind = spec.kind();
         assert!(
-            find(name).expect("registered").supports(kind),
+            resolver().find(name).expect("registered").supports(kind),
             "{name} does not support its churn base {kind:?}"
         );
     }

@@ -38,7 +38,7 @@ use lcl_core::weighted::WeightedOutput;
 use lcl_decidability::path_lcl::{PathClass, PathLcl};
 use lcl_graph::NodeMask;
 use lcl_harness::{
-    registry, run_on_construction, Algorithm, Instance, InstanceKind, InstanceSpec, RunConfig,
+    resolver, run_on_construction, Algorithm, Instance, InstanceKind, InstanceSpec, RunConfig,
     WeightedRegime,
 };
 use lcl_local::engine::EngineConfig;
@@ -436,9 +436,8 @@ fn assert_engines_agree(algo: &'static dyn Algorithm) {
 }
 
 fn by_name(name: &str) -> &'static dyn Algorithm {
-    *registry()
-        .iter()
-        .find(|a| a.name() == name)
+    resolver()
+        .find(name)
         .unwrap_or_else(|| panic!("`{name}` not in registry"))
 }
 
@@ -582,7 +581,7 @@ fn every_registry_algorithm_is_covered() {
         "labeling-solver",
         "path-lcl",
     ];
-    let mut names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+    let mut names: Vec<&str> = resolver().algorithms().iter().map(|a| a.name()).collect();
     names.sort_unstable();
     let mut expected: Vec<&str> = covered.to_vec();
     expected.sort_unstable();

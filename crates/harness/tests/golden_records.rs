@@ -16,7 +16,7 @@
 //!
 //! and review the fixture diff like any other code change.
 
-use lcl_harness::{find, registry, InstanceSpec, RunConfig};
+use lcl_harness::{resolver, InstanceSpec, RunConfig};
 use std::path::PathBuf;
 
 /// Seed fixed for every golden run; `elapsed_ms` stays `0.0` because the
@@ -37,7 +37,7 @@ fn run_records_serialize_byte_stably() {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
     let mut failures = Vec::new();
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let spec = algo.smallest_spec();
         let instance = spec.build().expect("smallest spec builds");
         let record = algo
@@ -123,7 +123,7 @@ fn adversarial_records_serialize_byte_stably() {
     }
     let mut failures = Vec::new();
     for (fixture, algo_name, spec) in adversarial_golden_cases() {
-        let algo = find(algo_name).expect("registered solver");
+        let algo = resolver().find(algo_name).expect("registered solver");
         let instance = spec.build().expect("adversarial spec builds");
         let record = algo
             .run(&instance, &RunConfig::seeded(GOLDEN_SEED))
@@ -158,7 +158,7 @@ fn golden_runs_are_deterministic_across_repetition() {
     // The byte-stability of the fixtures relies on every algorithm being a
     // pure function of (spec, seed); check it directly for two runs in one
     // process (fresh instances, shared peeling cache).
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let spec = algo.smallest_spec();
         let a = algo
             .run(&spec.build().unwrap(), &RunConfig::seeded(GOLDEN_SEED))

@@ -3,12 +3,12 @@
 //! `RunRecord` round vector covers exactly the node count, and the output
 //! passes the problem verifier.
 
-use lcl_harness::{registry, run_timed, RunConfig};
+use lcl_harness::{resolver, run_timed, RunConfig};
 use proptest::prelude::*;
 
 #[test]
 fn every_algorithm_runs_on_its_smallest_instance() {
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let spec = algo.smallest_spec();
         let instance = spec
             .build()
@@ -34,7 +34,7 @@ fn every_algorithm_runs_on_its_smallest_instance() {
 
 #[test]
 fn default_specs_are_supported_and_buildable() {
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let cfg = RunConfig::default();
         let spec = algo.default_spec(4_000, &cfg);
         assert!(
@@ -52,7 +52,7 @@ fn default_specs_are_supported_and_buildable() {
 #[test]
 fn classification_hooks_are_coherent() {
     use lcl_core::landscape::Regime;
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let cfg = RunConfig::default();
         // The classification family must be runnable by the algorithm
         // and buildable at sweep sizes.
@@ -98,7 +98,7 @@ fn classification_hooks_are_coherent() {
 
 #[test]
 fn records_summarize_their_own_histogram() {
-    for algo in registry() {
+    for algo in resolver().algorithms() {
         let instance = algo.smallest_spec().build().expect("smallest spec builds");
         let record = algo
             .run(&instance, &RunConfig::seeded(9))
@@ -129,7 +129,7 @@ proptest! {
     // them, not just a lucky constant.
     #[test]
     fn registry_contract_holds_for_arbitrary_seeds(seed in any::<u64>()) {
-        for algo in registry() {
+        for algo in resolver().algorithms() {
             let instance = algo.smallest_spec().build().expect("smallest spec builds");
             let record = run_timed(*algo, &instance, &RunConfig::seeded(seed))
                 .unwrap_or_else(|e| panic!("{} (seed {seed}): {e}", algo.name()));

@@ -17,7 +17,7 @@
 //! `packing`) must stay exercised here.
 
 use lcl_core::problem_spec::ProblemSpec;
-use lcl_harness::{registry, Algorithm, InstanceSpec, RunConfig, RunRecord};
+use lcl_harness::{resolver, Algorithm, InstanceSpec, RunConfig, RunRecord};
 use lcl_local::engine::{EngineConfig, ShardConfig};
 
 /// Small enough that shard differentials stay fast, small enough relative
@@ -107,9 +107,8 @@ fn shard_grid_matches(
 }
 
 fn by_name(name: &str) -> &'static dyn Algorithm {
-    *registry()
-        .iter()
-        .find(|a| a.name() == name)
+    resolver()
+        .find(name)
         .unwrap_or_else(|| panic!("`{name}` not in registry"))
 }
 
@@ -238,7 +237,7 @@ fn every_registry_algorithm_is_covered() {
         "labeling-solver",
         "path-lcl",
     ];
-    let mut names: Vec<&str> = registry().iter().map(|a| a.name()).collect();
+    let mut names: Vec<&str> = resolver().algorithms().iter().map(|a| a.name()).collect();
     names.sort_unstable();
     let mut expected: Vec<&str> = covered.to_vec();
     expected.sort_unstable();

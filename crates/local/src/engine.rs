@@ -1989,6 +1989,18 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn shard_knobs_list_every_shard_config_field() {
+        // Exhaustive: a new `ShardConfig` field stops this compiling until
+        // `SHARD_KNOBS` (the `LCL-X05` ground truth) names it too.
+        let ShardConfig {
+            shards: _,
+            max_resident: _,
+            packing: _,
+        } = ShardConfig::default();
+        assert_eq!(SHARD_KNOBS, ["shards", "max_resident", "packing"]);
+    }
+
+    #[test]
     fn reverse_edges_are_involutive() {
         let random = lcl_graph::generators::random_bounded_degree_tree(200, 5, 3);
         // Port order follows edge-insertion order: reversed and rotated

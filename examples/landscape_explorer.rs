@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } = spec
     {
         // Measure A_poly on a Definition 25 instance via the registry.
-        let algo = find("apoly").expect("apoly is registered");
+        let algo = resolver().find("apoly").expect("apoly is registered");
         let instance = InstanceSpec::WeightedPoly {
             n: 400_000,
             delta,

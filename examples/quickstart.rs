@@ -10,8 +10,9 @@ use lcl_landscape::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The paper's algorithms are registry entries: name, landscape
     //    class, supported instance kinds.
-    println!("registry ({} algorithms):", registry().len());
-    for algo in registry() {
+    let algorithms = resolver().algorithms();
+    println!("registry ({} algorithms):", algorithms.len());
+    for algo in algorithms {
         println!("  {:<18} {}", algo.name(), algo.landscape_class());
     }
 
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    lower-bound instance (Definition 18 / Fig. 3) over three sizes.
     //    The Session batch runner builds each instance once and executes
     //    the runs in parallel.
-    let algo = find("generic-coloring").expect("registered");
+    let algo = resolver().find("generic-coloring").expect("registered");
     let mut session = Session::new();
     for n in [25_000usize, 50_000, 100_000] {
         session.push(

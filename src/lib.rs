@@ -31,8 +31,8 @@
 //! // landscape class, supported instance kinds, and a bid on
 //! // declarative problems (the ten paper algorithms plus the
 //! // table-driven path-LCL solver).
-//! assert_eq!(registry().len(), 11);
-//! let algo = find("generic-coloring").expect("registered");
+//! assert_eq!(resolver().algorithms().len(), 11);
+//! let algo = resolver().find("generic-coloring").expect("registered");
 //!
 //! // Run a seeded size sweep of the Theorem 11 lower-bound instance
 //! // through the Session batch runner (instances are built once and
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use lcl_graph::hierarchical::LowerBoundGraph;
     pub use lcl_graph::{NodeMask, Tree, TreeBuilder};
     pub use lcl_harness::{
-        find, registry, Algorithm, HarnessError, Instance, InstanceKind, InstanceSpec, RunConfig,
+        resolver, Algorithm, HarnessError, Instance, InstanceKind, InstanceSpec, RunConfig,
         RunRecord, Session, SweepReport,
     };
     pub use lcl_local::identifiers::Ids;

@@ -1,6 +1,6 @@
 //! Integration tests spanning all crates: constructions → algorithms →
 //! verifiers → complexity shapes, driven through the unified harness
-//! (`registry()` + `Session`).
+//! (`resolver()` + `Session`).
 
 use lcl_landscape::algorithms::two_coloring::two_color_path;
 use lcl_landscape::core::params;
@@ -76,7 +76,7 @@ fn weight_augmented_verifies_and_scales_as_sqrt_n() {
 fn node_averaged_beats_worst_case_on_thm11_instances() {
     // The punchline of the node-averaged measure: on Theorem 11 instances
     // the generic algorithm's average is much smaller than its worst case.
-    let algo = find("generic-coloring").unwrap();
+    let algo = resolver().find("generic-coloring").unwrap();
     for k in [2usize, 3] {
         let instance = InstanceSpec::Theorem11 { n: 200_000, k }.build().unwrap();
         let record = algo.run(&instance, &RunConfig::seeded(k as u64)).unwrap();
@@ -118,7 +118,8 @@ fn synthesized_problems_are_buildable() {
         }
         .build()
         .unwrap();
-        let record = find("apoly")
+        let record = resolver()
+            .find("apoly")
             .unwrap()
             .run(&instance, &RunConfig::seeded(9))
             .unwrap();
