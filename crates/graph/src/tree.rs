@@ -430,9 +430,10 @@ impl TreeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TreeError::NodeOutOfRange`] or [`TreeError::InvalidEdge`]
-    /// for malformed edges, and [`TreeError::NotATree`] if the edge set is
-    /// not a connected acyclic graph spanning all `n` nodes.
+    /// Returns [`TreeError::NodeOutOfRange`] for an endpoint `>= n`,
+    /// [`TreeError::InvalidEdge`] for a self-loop, and
+    /// [`TreeError::NotATree`] if the edge set is not a connected acyclic
+    /// graph spanning all `n` nodes (this covers duplicate edges).
     pub fn build(&self) -> Result<Tree, TreeError> {
         let n = self.n;
         if n == 0 {
@@ -474,7 +475,9 @@ impl TreeBuilder {
             cursor[v as usize] += 1;
         }
         let tree = Tree { offsets, adjacency };
-        // Connectivity check: n - 1 edges + connected ⇒ acyclic.
+        // Connectivity check: n - 1 edges + connected ⇒ acyclic. It also
+        // rejects duplicate edges: a duplicate among the n - 1 edges leaves
+        // at most n - 2 distinct ones, which cannot connect n nodes.
         let reached = tree
             .bfs_distances(0)
             .iter()
@@ -485,20 +488,6 @@ impl TreeBuilder {
                 nodes: n,
                 edges: self.edges.len(),
             });
-        }
-        // Duplicate-edge check (a duplicate would create a 2-cycle that the
-        // count+connectivity test can miss only together with a disconnect,
-        // but we check explicitly for a clear error).
-        for v in 0..n {
-            let mut nb: Vec<u32> = tree.neighbors(v).to_vec();
-            nb.sort_unstable();
-            if nb.windows(2).any(|w| w[0] == w[1]) {
-                let dup = nb.windows(2).find(|w| w[0] == w[1]).unwrap()[0];
-                return Err(TreeError::InvalidEdge {
-                    u: v,
-                    v: dup as usize,
-                });
-            }
         }
         Ok(tree)
     }
@@ -631,8 +620,15 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_edge() {
-        // Duplicate edge on 3 nodes: node 2 disconnected, caught either way.
-        assert!(Tree::from_edges(3, &[(0, 1), (0, 1)]).is_err());
+        // A duplicate among n - 1 edges always leaves a node unreached.
+        assert!(matches!(
+            Tree::from_edges(3, &[(0, 1), (0, 1)]),
+            Err(TreeError::NotATree { nodes: 3, edges: 2 })
+        ));
+        assert!(matches!(
+            Tree::from_edges(4, &[(0, 1), (2, 3), (1, 0)]),
+            Err(TreeError::NotATree { nodes: 4, edges: 3 })
+        ));
     }
 
     #[test]

@@ -15,8 +15,16 @@
 //! ```
 //!
 //! and review the fixture diff like any other code change.
+//!
+//! The fixtures pin the streamed encoding (`serde_json::to_string`, which
+//! writes through `Serialize::write_json`). A property test below holds it
+//! byte-equal to rendering the record's `Value` tree, over records full of
+//! edge values: extreme integers, non-finite floats, escaped strings.
 
-use lcl_harness::{resolver, InstanceSpec, RunConfig};
+use lcl_harness::{resolver, InstanceSpec, RoundBin, RunConfig, RunRecord};
+use proptest::prelude::*;
+use proptest::TestRng;
+use serde::Serialize;
 use std::path::PathBuf;
 
 /// Seed fixed for every golden run; `elapsed_ms` stays `0.0` because the
@@ -44,6 +52,12 @@ fn run_records_serialize_byte_stably() {
             .run(&instance, &RunConfig::seeded(GOLDEN_SEED))
             .expect("smallest spec runs");
         let mut json = serde_json::to_string(&record).expect("serializable");
+        assert_eq!(
+            json,
+            serde_json::to_string(&record.to_value()).expect("serializable"),
+            "{}: streamed and tree encodings differ",
+            algo.name()
+        );
         json.push('\n');
         let path = dir.join(format!("{}.json", algo.name()));
         if update {
@@ -168,5 +182,120 @@ fn golden_runs_are_deterministic_across_repetition() {
             .unwrap();
         assert_eq!(a.labels, b.labels, "{} labels drift", algo.name());
         assert_eq!(a.rounds, b.rounds, "{} rounds drift", algo.name());
+    }
+}
+
+/// An integer that is often an edge of the digit writer or of `u64`.
+fn edge_u64(rng: &mut TestRng) -> u64 {
+    const EDGES: [u64; 12] = [
+        0,
+        1,
+        9,
+        10,
+        99,
+        100,
+        99_999_999,
+        100_000_000,
+        1 << 60,
+        (1 << 60) | 12_345,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    let r = rng.next_u64();
+    match r % 4 {
+        0 => EDGES[(r >> 8) as usize % EDGES.len()],
+        1 => r >> (r % 64),
+        _ => r >> 48,
+    }
+}
+
+/// A float that is often non-finite, signed zero, or large enough for
+/// exponent form.
+fn edge_f64(rng: &mut TestRng) -> f64 {
+    const EDGES: [f64; 12] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e300,
+        -1e15,
+        1e15,
+        999_999_999_999_999.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        0.1,
+    ];
+    let r = rng.next_u64();
+    match r % 3 {
+        0 => EDGES[(r >> 8) as usize % EDGES.len()],
+        1 => f64::from_bits(rng.next_u64()),
+        _ => rng.unit_f64() * 1e6,
+    }
+}
+
+/// A string of fragments that need escaping, or multi-byte encoding, or
+/// neither.
+fn edge_string(rng: &mut TestRng) -> String {
+    const PIECES: [&str; 12] = [
+        "two-coloring",
+        "\"",
+        "\\",
+        "\n",
+        "\r\t",
+        "\u{0}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "日本",
+        "🦀",
+        "path(20000)",
+    ];
+    let len = rng.next_u64() % 6;
+    (0..len)
+        .map(|_| PIECES[rng.next_u64() as usize % PIECES.len()])
+        .collect()
+}
+
+fn arbitrary_record(rng: &mut TestRng) -> RunRecord {
+    let n = (rng.next_u64() % 40) as usize;
+    let labels = (0..n).map(|_| edge_u64(rng)).collect();
+    let rounds = (0..n).map(|_| edge_u64(rng)).collect();
+    let bins = rng.next_u64() % 4;
+    RunRecord {
+        algorithm: edge_string(rng),
+        spec: edge_string(rng),
+        n,
+        seed: edge_u64(rng),
+        labels,
+        rounds,
+        node_averaged: edge_f64(rng),
+        worst_case: edge_u64(rng),
+        median_round: edge_u64(rng),
+        histogram: (0..bins)
+            .map(|_| RoundBin {
+                round: edge_u64(rng),
+                count: edge_u64(rng),
+            })
+            .collect(),
+        waiting_averaged: edge_f64(rng),
+        verified: rng.next_u64() & 1 == 1,
+        engine: edge_string(rng),
+        elapsed_ms: edge_f64(rng),
+        peak_arena_bytes: edge_u64(rng),
+        engine_nodes_per_sec: edge_f64(rng),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn streamed_records_match_their_tree(seed in any::<u64>()) {
+        let record = arbitrary_record(&mut TestRng::new(seed));
+        let streamed = serde_json::to_string(&record).expect("serializable");
+        let tree = serde_json::to_string(&record.to_value()).expect("serializable");
+        prop_assert_eq!(&streamed, &tree);
+        prop_assert!(serde_json::from_str(&streamed).is_ok(), "invalid JSON: {streamed}");
     }
 }

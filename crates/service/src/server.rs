@@ -28,6 +28,7 @@ use lcl_harness::{
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -352,7 +353,7 @@ fn worker_loop(shared: &Shared) {
         if shared.cfg.throttle_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.cfg.throttle_ms));
         }
-        let response = process(&job.request);
+        let response = answer(&job.request, process);
         let failed = matches!(response, Response::Error { .. });
         if failed {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
@@ -363,8 +364,27 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one admitted job to a single typed response. Infallible by
-/// construction: every error path is a [`Response::Error`].
+/// Runs one admitted job through `run` and answers a panic with a typed
+/// `run-failed` error carrying the request's id, so the worker outlives
+/// the job. Engine worker panics are re-raised on the calling thread, so
+/// they land here too.
+fn answer(request: &Request, run: impl FnOnce(&Request) -> Response) -> Response {
+    panic::catch_unwind(AssertUnwindSafe(|| run(request))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Response::Error {
+            id: Some(request.id()),
+            kind: ErrorKind::RunFailed,
+            message: format!("job panicked: {message}"),
+        }
+    })
+}
+
+/// Runs one admitted job to a single typed response. Every error path is
+/// a [`Response::Error`]; [`answer`] covers panics.
 fn process(request: &Request) -> Response {
     match request {
         Request::Classify { id, problem } => {
@@ -717,5 +737,51 @@ pub fn serve_stdio(service: &Service) {
     drop(conn);
     if let Ok(handle) = writer {
         let _ = handle.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn classify(id: u64) -> Request {
+        Request::Classify {
+            id,
+            problem: lcl_core::problem_spec::ProblemSpec::preset("3-coloring").expect("preset"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_with_its_id() {
+        for (reply, expected) in [
+            (
+                answer(&classify(42), |_| panic!("boom")),
+                "job panicked: boom",
+            ),
+            (
+                answer(&classify(42), |r| panic!("id {}", r.id())),
+                "job panicked: id 42",
+            ),
+            (
+                answer(&classify(42), |_| std::panic::panic_any(7u8)),
+                "job panicked: non-string payload",
+            ),
+        ] {
+            assert_eq!(
+                reply,
+                Response::Error {
+                    id: Some(42),
+                    kind: ErrorKind::RunFailed,
+                    message: expected.to_string(),
+                }
+            );
+            assert_eq!(Response::from_line(&reply.to_line()), Ok(reply));
+        }
+    }
+
+    #[test]
+    fn a_job_that_returns_is_answered_unchanged() {
+        let done = answer(&classify(5), |r| Response::Done { id: r.id() });
+        assert_eq!(done, Response::Done { id: 5 });
     }
 }

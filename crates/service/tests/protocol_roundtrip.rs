@@ -223,6 +223,17 @@ proptest! {
     }
 
     #[test]
+    fn records_stream_like_their_tree(seed in any::<u64>(), id in any::<u64>()) {
+        let record = record_from(seed, seed & 4 == 0);
+        let streamed = serde_json::to_string(&record).expect("serializable");
+        prop_assert_eq!(&streamed, &serde_json::to_string(&record.to_value()).expect("serializable"));
+        let response = Response::Record { id, record };
+        let line = response.to_line();
+        prop_assert_eq!(&line, &serde_json::to_string(&response).expect("serializable"));
+        prop_assert!(line.ends_with(&format!("\"record\":{streamed}}}")), "record not embedded as streamed: {line}");
+    }
+
+    #[test]
     fn unknown_fields_are_tolerated(variant in 0u8..8, seed in any::<u64>(), id in any::<u64>()) {
         let spec = spec_from(variant, seed);
         prop_assume!(spec.validate().is_ok());
