@@ -59,12 +59,13 @@
 //! ```
 
 use lcl_bench::figures::{figure_names, run_figure, FigureOpts};
-use lcl_bench::report::{f1, f3, save_json, schema_lines, Table};
+use lcl_bench::report::{f1, f3, save_json, Table};
 use lcl_core::problem_spec::ProblemSpec;
 use lcl_harness::{
     classify, plan, resolver, run_timed, PlanError, RunConfig, Session, SweepReport,
 };
 use lcl_local::engine::{EngineConfig, ShardConfig};
+use lcl_service::protocol::flatten_schema;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -483,7 +484,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         if schema {
             // Prefixed so CI can grep the schema out of the mixed table
             // output: `lcl sweep all --tiny --schema | grep '^SCHEMA '`.
-            for line in schema_lines(name, &value) {
+            for line in flatten_schema(name, &value) {
                 println!("SCHEMA {line}");
             }
         }
@@ -511,7 +512,7 @@ fn cmd_churn(args: &[String]) -> Result<(), String> {
     let preset = flags.value("--scale")?.unwrap_or("smoke");
     let value = lcl_bench::churn::run_churn(preset)?;
     if flags.switch("--schema") {
-        for line in schema_lines("churn", &value) {
+        for line in flatten_schema("churn", &value) {
             println!("SCHEMA {line}");
         }
     }

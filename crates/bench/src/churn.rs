@@ -19,6 +19,7 @@
 use crate::report::{f1, save_json, Table};
 use lcl_core::churn::ChurnScript;
 use lcl_harness::{DynamicSession, InstanceSpec, RunConfig};
+use lcl_service::protocol::fnv1a_u64s;
 use serde::{Serialize, Value};
 
 /// Seed shared by every churn-bench session, so the emitted `CHURN`
@@ -132,19 +133,6 @@ fn matrix(scale: &ChurnScale) -> Vec<(&'static str, InstanceSpec)> {
         ),
         ("labeling-solver", InstanceSpec::HeavyPath { n: 120 }),
     ]
-}
-
-/// FNV-1a over the canonical label encoding (little-endian bytes): the
-/// deterministic fingerprint each `CHURN` line carries.
-fn fnv1a(labels: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &label in labels {
-        for byte in label.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// One matrix session's report row.
@@ -265,7 +253,7 @@ pub fn run_churn(preset: &str) -> Result<Value, String> {
                 incremental_batches: outcomes.iter().filter(|o| o.incremental).count(),
                 dirty_total: outcomes.iter().map(|o| o.dirty).sum(),
                 region_total: outcomes.iter().map(|o| o.region).sum(),
-                label_checksum: format!("{:016x}", fnv1a(session.labels())),
+                label_checksum: format!("{:016x}", fnv1a_u64s(session.labels())),
             };
             // The stable machine-readable line: everything deterministic,
             // nothing wall-clock.
@@ -440,9 +428,9 @@ mod tests {
 
     #[test]
     fn fnv1a_is_deterministic_and_input_sensitive() {
-        let a = fnv1a(&[1, 2, 3]);
-        assert_eq!(a, fnv1a(&[1, 2, 3]));
-        assert_ne!(a, fnv1a(&[1, 2, 4]));
-        assert_ne!(fnv1a(&[]), fnv1a(&[0]));
+        let a = fnv1a_u64s(&[1, 2, 3]);
+        assert_eq!(a, fnv1a_u64s(&[1, 2, 3]));
+        assert_ne!(a, fnv1a_u64s(&[1, 2, 4]));
+        assert_ne!(fnv1a_u64s(&[]), fnv1a_u64s(&[0]));
     }
 }

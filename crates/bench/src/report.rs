@@ -75,47 +75,6 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> serde::Value {
     model
 }
 
-/// Flattens a JSON value into sorted `path: type` lines — the *schema* of
-/// an emitted record. Array elements collapse into one `[]` segment, so
-/// the lines are stable across sweep sizes; CI diffs them against a
-/// checked-in golden file.
-pub fn schema_lines(name: &str, value: &serde::Value) -> Vec<String> {
-    fn walk(v: &serde::Value, path: &str, out: &mut std::collections::BTreeSet<String>) {
-        match v {
-            serde::Value::Null => {
-                out.insert(format!("{path}: null"));
-            }
-            serde::Value::Bool(_) => {
-                out.insert(format!("{path}: bool"));
-            }
-            serde::Value::Int(_) | serde::Value::UInt(_) => {
-                out.insert(format!("{path}: int"));
-            }
-            serde::Value::Float(_) => {
-                out.insert(format!("{path}: number"));
-            }
-            serde::Value::Str(_) => {
-                out.insert(format!("{path}: string"));
-            }
-            serde::Value::Array(items) => {
-                out.insert(format!("{path}: array"));
-                for item in items {
-                    walk(item, &format!("{path}[]"), out);
-                }
-            }
-            serde::Value::Object(fields) => {
-                out.insert(format!("{path}: object"));
-                for (key, val) in fields {
-                    walk(val, &format!("{path}.{key}"), out);
-                }
-            }
-        }
-    }
-    let mut out = std::collections::BTreeSet::new();
-    walk(value, &format!("{name}$"), &mut out);
-    out.into_iter().collect()
-}
-
 /// Formats a float with 3 decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")

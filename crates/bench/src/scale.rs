@@ -345,45 +345,6 @@ pub fn run_scale(
     Ok(())
 }
 
-// --- minimal JSON-value navigation over the vendored serde model -----------
-
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_array(value: &Value) -> Option<&[Value]> {
-    match value {
-        Value::Array(items) => Some(items),
-        _ => None,
-    }
-}
-
-fn as_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::Float(x) => Some(*x),
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-fn as_str(value: &Value) -> Option<&str> {
-    match value {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn as_bool(value: &Value) -> Option<bool> {
-    match value {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
-}
-
 fn load_baseline() -> Option<Value> {
     let text = std::fs::read_to_string("bench-results/BENCH_sweep.json").ok()?;
     serde_json::from_str(&text).ok()
@@ -395,12 +356,12 @@ fn compare_against_baseline(points: &[ScalePoint]) -> Vec<BaselineComparison> {
     let Some(baseline) = load_baseline() else {
         return Vec::new();
     };
-    let Some(reports) = field(&baseline, "reports").and_then(as_array) else {
+    let Some(reports) = baseline.get("reports").and_then(Value::as_array) else {
         return Vec::new();
     };
     let mut out = Vec::new();
     for report in reports {
-        let Some(name) = field(report, "algorithm").and_then(as_str) else {
+        let Some(name) = report.get("algorithm").and_then(Value::as_str) else {
             continue;
         };
         let Some(scale_point) = points
@@ -410,15 +371,20 @@ fn compare_against_baseline(points: &[ScalePoint]) -> Vec<BaselineComparison> {
         else {
             continue;
         };
-        let Some(base_point) = field(report, "points").and_then(as_array).and_then(|pts| {
-            pts.iter()
-                .max_by_key(|p| field(p, "n").and_then(as_f64).unwrap_or(0.0) as usize)
-        }) else {
+        let Some(base_point) = report
+            .get("points")
+            .and_then(Value::as_array)
+            .and_then(|pts| {
+                pts.iter()
+                    .max_by_key(|p| p.get("n").and_then(Value::as_f64).unwrap_or(0.0) as usize)
+            })
+        else {
             continue;
         };
-        let baseline_n = field(base_point, "n").and_then(as_f64).unwrap_or(0.0) as usize;
-        let baseline_ms = field(base_point, "elapsed_ms")
-            .and_then(as_f64)
+        let baseline_n = base_point.get("n").and_then(Value::as_f64).unwrap_or(0.0) as usize;
+        let baseline_ms = base_point
+            .get("elapsed_ms")
+            .and_then(Value::as_f64)
             .unwrap_or(0.0);
         if baseline_n == 0 || baseline_ms <= 0.0 {
             continue;
@@ -456,24 +422,34 @@ fn throughput_gate(threshold: f64) -> Result<(), String> {
     // engine. `shards = 0` (or a pre-sharding baseline) means monolithic,
     // the same mapping `lcl sweep --shards` used to write the header.
     let shard = ShardConfig::from_flags(
-        field(&baseline, "shards").and_then(as_f64).unwrap_or(0.0) as usize,
-        field(&baseline, "max_resident")
-            .and_then(as_f64)
+        baseline
+            .get("shards")
+            .and_then(Value::as_f64)
             .unwrap_or(0.0) as usize,
-        field(&baseline, "packing")
-            .and_then(as_bool)
+        baseline
+            .get("max_resident")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0) as usize,
+        baseline
+            .get("packing")
+            .and_then(Value::as_bool)
             .unwrap_or(false),
     );
     let engine_cfg = EngineConfig {
-        chunk_size: field(&baseline, "chunk_size")
-            .and_then(as_f64)
+        chunk_size: baseline
+            .get("chunk_size")
+            .and_then(Value::as_f64)
             .unwrap_or(0.0) as usize,
-        threads: field(&baseline, "threads").and_then(as_f64).unwrap_or(0.0) as usize,
+        threads: baseline
+            .get("threads")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0) as usize,
         check_arena: false,
         shard,
     };
-    let points = field(&baseline, "points")
-        .and_then(as_array)
+    let points = baseline
+        .get("points")
+        .and_then(Value::as_array)
         .ok_or("BENCH_engine.json has no `points`")?;
     let entries = suite();
 
@@ -484,15 +460,18 @@ fn throughput_gate(threshold: f64) -> Result<(), String> {
     let mut failures = Vec::new();
     let mut skipped = 0usize;
     for point in points {
-        let name = field(point, "algorithm")
-            .and_then(as_str)
+        let name = point
+            .get("algorithm")
+            .and_then(Value::as_str)
             .ok_or("BENCH_engine.json point without `algorithm`")?;
-        let requested_n = field(point, "requested_n")
-            .and_then(as_f64)
+        let requested_n = point
+            .get("requested_n")
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("no `requested_n` for `{name}` in BENCH_engine.json"))?
             as usize;
-        let baseline_nps = field(point, "engine_nodes_per_sec")
-            .and_then(as_f64)
+        let baseline_nps = point
+            .get("engine_nodes_per_sec")
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("no `engine_nodes_per_sec` for `{name}`"))?;
         if requested_n > GATE_MAX_N {
             skipped += 1;
@@ -559,17 +538,19 @@ pub fn perf_gate(threshold: f64) -> Result<(), String> {
         .map_err(|e| format!("cannot read bench-results/BENCH_sweep.json: {e}"))?;
     let baseline =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse BENCH_sweep.json: {e}"))?;
-    let sizes = field(&baseline, "sizes")
-        .and_then(as_array)
+    let sizes = baseline
+        .get("sizes")
+        .and_then(Value::as_array)
         .ok_or("BENCH_sweep.json has no `sizes`")?;
     let mid = sizes
         .iter()
-        .filter_map(as_f64)
+        .filter_map(Value::as_f64)
         .map(|x| x as usize)
         .min()
         .ok_or("BENCH_sweep.json has empty `sizes`")?;
-    let reports = field(&baseline, "reports")
-        .and_then(as_array)
+    let reports = baseline
+        .get("reports")
+        .and_then(Value::as_array)
         .ok_or("BENCH_sweep.json has no `reports`")?;
 
     let mut table = Table::new(
@@ -587,24 +568,28 @@ pub fn perf_gate(threshold: f64) -> Result<(), String> {
     for algo in resolver().algorithms() {
         let report = reports
             .iter()
-            .find(|r| field(r, "algorithm").and_then(as_str) == Some(algo.name()));
+            .find(|r| r.get("algorithm").and_then(Value::as_str) == Some(algo.name()));
         let Some(report) = report else {
             return Err(format!("`{}` missing from BENCH_sweep.json", algo.name()));
         };
         // The baseline ran seed = requested size, so the mid-size point is
         // the one whose seed equals `mid`.
-        let base_point = field(report, "points")
-            .and_then(as_array)
+        let base_point = report
+            .get("points")
+            .and_then(Value::as_array)
             .and_then(|pts| {
-                pts.iter()
-                    .find(|p| field(p, "seed").and_then(as_f64).map(|s| s as usize) == Some(mid))
+                pts.iter().find(|p| {
+                    p.get("seed").and_then(Value::as_f64).map(|s| s as usize) == Some(mid)
+                })
             })
             .ok_or_else(|| format!("no mid-size baseline point for `{}`", algo.name()))?;
-        let baseline_ms = field(base_point, "elapsed_ms")
-            .and_then(as_f64)
+        let baseline_ms = base_point
+            .get("elapsed_ms")
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("no baseline elapsed_ms for `{}`", algo.name()))?;
-        let baseline_avg = field(base_point, "node_averaged")
-            .and_then(as_f64)
+        let baseline_avg = base_point
+            .get("node_averaged")
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("no baseline node_averaged for `{}`", algo.name()))?;
         let cfg = RunConfig::default();
         let spec = algo.default_spec(mid, &cfg);
@@ -690,10 +675,10 @@ mod tests {
     #[test]
     fn json_navigation_helpers() {
         let v = serde_json::from_str(r#"{"a": [1, 2.5], "s": "x"}"#).unwrap();
-        assert_eq!(field(&v, "s").and_then(as_str), Some("x"));
-        let arr = field(&v, "a").and_then(as_array).unwrap();
-        assert_eq!(as_f64(&arr[0]), Some(1.0));
-        assert_eq!(as_f64(&arr[1]), Some(2.5));
-        assert!(field(&v, "missing").is_none());
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
+        let arr = v.get("a").and_then(Value::as_array).unwrap();
+        assert_eq!(arr[0].as_f64(), Some(1.0));
+        assert_eq!(arr[1].as_f64(), Some(2.5));
+        assert!(v.get("missing").is_none());
     }
 }

@@ -358,29 +358,6 @@ pub fn run_loadgen(
 
 // --- the CI gate against the committed baseline ----------------------------
 
-fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::Float(x) => Some(*x),
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-fn as_str(value: &Value) -> Option<&str> {
-    match value {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// The service stage of the CI perf gate: re-runs the load generator at
 /// the committed `BENCH_service.json` baseline's own scale and fails
 /// when throughput drops, or p99 latency grows, beyond `threshold`×.
@@ -396,15 +373,18 @@ pub fn service_gate(threshold: f64) -> Result<(), String> {
         .map_err(|e| format!("cannot read bench-results/BENCH_service.json: {e}"))?;
     let baseline =
         serde_json::from_str(&text).map_err(|e| format!("cannot parse BENCH_service.json: {e}"))?;
-    let scale_name = field(&baseline, "scale")
-        .and_then(as_str)
+    let scale_name = baseline
+        .get("scale")
+        .and_then(Value::as_str)
         .ok_or("BENCH_service.json has no `scale`")?
         .to_string();
-    let base_jps = field(&baseline, "jobs_per_sec")
-        .and_then(as_f64)
+    let base_jps = baseline
+        .get("jobs_per_sec")
+        .and_then(Value::as_f64)
         .ok_or("BENCH_service.json has no `jobs_per_sec`")?;
-    let base_p99 = field(&baseline, "p99_ms")
-        .and_then(as_f64)
+    let base_p99 = baseline
+        .get("p99_ms")
+        .and_then(Value::as_f64)
         .ok_or("BENCH_service.json has no `p99_ms`")?;
 
     let scale = scale_params(&scale_name)

@@ -88,6 +88,27 @@ fn tiny_churn_matches_golden_schema_and_is_deterministic() {
     }
 }
 
+/// The determinism check above compares two runs of one build; this pins
+/// the CHURN lines (labels, sizes, checksums) across commits, so a change
+/// to incremental re-solving or to the checksum function shows here.
+#[test]
+fn tiny_churn_lines_match_golden() {
+    let output = lcl(&["churn", "--scale", "tiny"]);
+    assert!(output.status.success(), "lcl churn failed: {output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let emitted: Vec<&str> = stdout.lines().filter(|l| l.starts_with("CHURN ")).collect();
+    let golden = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/churn_lines.txt"),
+    )
+    .expect("golden CHURN lines are checked in");
+    assert_eq!(
+        emitted,
+        golden.lines().collect::<Vec<_>>(),
+        "CHURN lines drifted; if intentional, regenerate with \
+         `lcl churn --scale tiny | grep '^CHURN '`"
+    );
+}
+
 #[test]
 fn churn_rejects_unknown_preset() {
     let output = lcl(&["churn", "--scale", "galactic"]);

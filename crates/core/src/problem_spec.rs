@@ -34,7 +34,7 @@
 use crate::landscape::{
     alpha1_log_star, alpha1_poly, efficiency_x, efficiency_x_prime, ComplexityClass,
 };
-use serde::{Serialize, Value};
+use serde::{ObjectWriter, Serialize, Value};
 
 /// An input-free LCL on paths, as a symmetric allowed-pair table plus
 /// endpoint permissions — the Lemma 16 / \[BBC+19\] problem format.
@@ -604,6 +604,9 @@ impl ProblemSpec {
     ///
     /// A human-readable parse error; malformed input never panics.
     pub fn from_value(value: &Value) -> Result<ProblemSpec, String> {
+        if !matches!(value, Value::Object(_)) {
+            return Err("expected an object with field `problem`".into());
+        }
         let tag = get_str(value, "problem")?;
         let spec = match tag {
             "path" => ProblemSpec::Path(PathTable::new(
@@ -658,177 +661,132 @@ fn check_k(k: usize) -> Result<(), String> {
     }
 }
 
-// --- JSON value-model helpers (the vendored serde has no Deserialize) ------
+// --- JSON readers: `Value`'s accessors plus this module's error wording ---
 
-fn get_field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match value {
-        Value::Object(entries) => entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field `{key}`")),
-        _ => Err(format!("expected an object with field `{key}`")),
-    }
+fn required<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("missing field `{key}`"))
 }
 
 fn get_str<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    match get_field(value, key)? {
-        Value::Str(s) => Ok(s),
-        other => Err(format!("field `{key}` must be a string, got {other:?}")),
-    }
+    let v = required(value, key)?;
+    v.as_str()
+        .ok_or_else(|| format!("field `{key}` must be a string, got {v:?}"))
 }
 
 fn get_bool(value: &Value, key: &str) -> Result<bool, String> {
-    match get_field(value, key)? {
-        Value::Bool(b) => Ok(*b),
-        other => Err(format!("field `{key}` must be a boolean, got {other:?}")),
-    }
-}
-
-fn value_as_usize(v: &Value) -> Option<usize> {
-    match *v {
-        Value::UInt(u) => usize::try_from(u).ok(),
-        Value::Int(i) => usize::try_from(i).ok(),
-        _ => None,
-    }
+    let v = required(value, key)?;
+    v.as_bool()
+        .ok_or_else(|| format!("field `{key}` must be a boolean, got {v:?}"))
 }
 
 fn get_usize(value: &Value, key: &str) -> Result<usize, String> {
-    let v = get_field(value, key)?;
-    value_as_usize(v).ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
+    required(value, key)?
+        .as_u64()
+        .and_then(|u| usize::try_from(u).ok())
+        .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
 }
 
 fn value_as_u8(v: &Value, key: &str) -> Result<u8, String> {
-    value_as_usize(v)
+    v.as_u64()
         .and_then(|u| u8::try_from(u).ok())
         .ok_or_else(|| format!("field `{key}` must hold labels in 0..=255"))
 }
 
+fn get_array<'a>(value: &'a Value, key: &str, of: &str) -> Result<&'a [Value], String> {
+    required(value, key)?
+        .as_array()
+        .map(Vec::as_slice)
+        .ok_or_else(|| format!("field `{key}` must be an array of {of}"))
+}
+
 fn get_u8_list(value: &Value, key: &str) -> Result<Vec<u8>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items.iter().map(|v| value_as_u8(v, key)).collect(),
-        _ => Err(format!("field `{key}` must be an array of labels")),
-    }
+    get_array(value, key, "labels")?
+        .iter()
+        .map(|v| value_as_u8(v, key))
+        .collect()
 }
 
 fn get_pairs(value: &Value, key: &str) -> Result<Vec<(u8, u8)>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Array(pair) if pair.len() == 2 => {
-                    Ok((value_as_u8(&pair[0], key)?, value_as_u8(&pair[1], key)?))
-                }
-                _ => Err(format!("field `{key}` must hold two-element [a, b] pairs")),
-            })
-            .collect(),
-        _ => Err(format!("field `{key}` must be an array of pairs")),
-    }
+    get_array(value, key, "pairs")?
+        .iter()
+        .map(|item| match item.as_array().map(Vec::as_slice) {
+            Some([a, b]) => Ok((value_as_u8(a, key)?, value_as_u8(b, key)?)),
+            _ => Err(format!("field `{key}` must hold two-element [a, b] pairs")),
+        })
+        .collect()
 }
 
 fn get_multisets(value: &Value, key: &str) -> Result<Vec<Vec<u8>>, String> {
-    match get_field(value, key)? {
-        Value::Array(items) => items
-            .iter()
-            .map(|item| match item {
-                Value::Array(labels) => labels.iter().map(|v| value_as_u8(v, key)).collect(),
-                _ => Err(format!("field `{key}` must hold arrays of labels")),
-            })
-            .collect(),
-        _ => Err(format!("field `{key}` must be an array of multisets")),
-    }
-}
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    get_array(value, key, "multisets")?
+        .iter()
+        .map(|item| {
+            item.as_array()
+                .ok_or_else(|| format!("field `{key}` must hold arrays of labels"))?
+                .iter()
+                .map(|v| value_as_u8(v, key))
+                .collect()
+        })
+        .collect()
 }
 
 impl Serialize for PathTable {
-    fn to_value(&self) -> Value {
-        obj(vec![
-            ("problem", Value::Str("path".into())),
-            ("labels", Value::UInt(self.labels as u64)),
-            (
-                "allowed",
-                Value::Array(
-                    self.allowed
-                        .iter()
-                        .map(|&(a, b)| {
-                            Value::Array(vec![Value::UInt(a.into()), Value::UInt(b.into())])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "ends",
-                Value::Array(self.ends.iter().map(|&l| Value::UInt(l.into())).collect()),
-            ),
-        ])
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .field("problem", "path")
+            .field("labels", &self.labels)
+            .field("allowed", &self.allowed)
+            .field("ends", &self.ends)
+            .end();
     }
 }
 
 impl Serialize for BwTable {
-    fn to_value(&self) -> Value {
-        let sets = |sets: &[Vec<u8>]| {
-            Value::Array(
-                sets.iter()
-                    .map(|m| Value::Array(m.iter().map(|&l| Value::UInt(l.into())).collect()))
-                    .collect(),
-            )
-        };
-        obj(vec![
-            ("problem", Value::Str("bw".into())),
-            ("out_labels", Value::UInt(self.out_labels.into())),
-            ("max_degree", Value::UInt(self.max_degree as u64)),
-            ("white", sets(&self.white)),
-            ("black", sets(&self.black)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .field("problem", "bw")
+            .field("out_labels", &self.out_labels)
+            .field("max_degree", &self.max_degree)
+            .field("white", &self.white)
+            .field("black", &self.black)
+            .end();
     }
 }
 
 impl Serialize for ProblemSpec {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        let tagged = |out, tag: &str| ObjectWriter::new(out).field("problem", tag);
         match self {
-            ProblemSpec::Path(t) => t.to_value(),
-            ProblemSpec::Coloring { colors } => obj(vec![
-                ("problem", Value::Str("coloring".into())),
-                ("colors", Value::UInt(*colors as u64)),
-            ]),
-            ProblemSpec::Bw(t) => t.to_value(),
-            ProblemSpec::HierarchicalColoring { k } => obj(vec![
-                ("problem", Value::Str("hierarchical-coloring".into())),
-                ("k", Value::UInt(*k as u64)),
-            ]),
+            ProblemSpec::Path(t) => t.write_json(out),
+            ProblemSpec::Coloring { colors } => {
+                tagged(out, "coloring").field("colors", colors).end()
+            }
+            ProblemSpec::Bw(t) => t.write_json(out),
+            ProblemSpec::HierarchicalColoring { k } => {
+                tagged(out, "hierarchical-coloring").field("k", k).end()
+            }
             ProblemSpec::Weighted {
                 regime,
                 delta,
                 d,
                 k,
-            } => obj(vec![
-                ("problem", Value::Str("weighted".into())),
-                ("regime", Value::Str(regime.tag().into())),
-                ("delta", Value::UInt(*delta as u64)),
-                ("d", Value::UInt(*d as u64)),
-                ("k", Value::UInt(*k as u64)),
-            ]),
-            ProblemSpec::WeightAugmented { k } => obj(vec![
-                ("problem", Value::Str("weight-augmented".into())),
-                ("k", Value::UInt(*k as u64)),
-            ]),
-            ProblemSpec::DfreeWeight { d, anchored } => obj(vec![
-                ("problem", Value::Str("dfree".into())),
-                ("d", Value::UInt(*d as u64)),
-                ("anchored", Value::Bool(*anchored)),
-            ]),
-            ProblemSpec::HierarchicalLabeling { k } => obj(vec![
-                ("problem", Value::Str("hierarchical-labeling".into())),
-                ("k", Value::UInt(*k as u64)),
-            ]),
+            } => tagged(out, "weighted")
+                .field("regime", regime.tag())
+                .field("delta", delta)
+                .field("d", d)
+                .field("k", k)
+                .end(),
+            ProblemSpec::WeightAugmented { k } => {
+                tagged(out, "weight-augmented").field("k", k).end()
+            }
+            ProblemSpec::DfreeWeight { d, anchored } => tagged(out, "dfree")
+                .field("d", d)
+                .field("anchored", anchored)
+                .end(),
+            ProblemSpec::HierarchicalLabeling { k } => {
+                tagged(out, "hierarchical-labeling").field("k", k).end()
+            }
         }
     }
 }
@@ -837,6 +795,15 @@ impl Serialize for ProblemSpec {
 mod tests {
     use super::*;
     use crate::landscape::Regime;
+
+    fn obj(entries: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
 
     #[test]
     fn path_table_canonicalizes() {

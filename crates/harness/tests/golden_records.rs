@@ -17,9 +17,10 @@
 //! and review the fixture diff like any other code change.
 //!
 //! The fixtures pin the streamed encoding (`serde_json::to_string`, which
-//! writes through `Serialize::write_json`). A property test below holds it
-//! byte-equal to rendering the record's `Value` tree, over records full of
-//! edge values: extreme integers, non-finite floats, escaped strings.
+//! writes through `Serialize::write_json`). The record's `Value` tree is
+//! the parse of that stream; a property test below holds rendering the
+//! tree byte-equal to the stream, over records full of edge values:
+//! extreme integers, non-finite floats, escaped strings.
 
 use lcl_harness::{resolver, InstanceSpec, RoundBin, RunConfig, RunRecord};
 use proptest::prelude::*;

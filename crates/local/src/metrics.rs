@@ -299,11 +299,10 @@ impl TerminationProfile {
 impl serde::Serialize for TerminationProfile {
     // Sparse form: serializing million-node runs must not emit one entry
     // per empty round.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "bins".to_string(),
-            serde::Serialize::to_value(&self.nonzero_bins()),
-        )])
+    fn write_json(&self, out: &mut String) {
+        serde::ObjectWriter::new(out)
+            .field("bins", &self.nonzero_bins())
+            .end();
     }
 }
 
@@ -316,11 +315,10 @@ impl FromIterator<u64> for RoundStats<'static> {
 impl serde::Serialize for RoundStats<'_> {
     // Manual impl (the vendored derive does not handle lifetime
     // parameters); mirrors the shape the derive would emit.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
-            "rounds".to_string(),
-            serde::Serialize::to_value(&self.rounds[..]),
-        )])
+    fn write_json(&self, out: &mut String) {
+        serde::ObjectWriter::new(out)
+            .field("rounds", &self.rounds[..])
+            .end();
     }
 }
 

@@ -28,7 +28,7 @@
 
 use lcl_core::problem_spec::ProblemSpec;
 use lcl_harness::{CacheStats, PlanError};
-use serde::{Serialize, Value};
+use serde::{ObjectWriter, Serialize, Value};
 
 /// Every request `op` tag the server accepts.
 pub const REQUEST_OPS: &[&str] = &["classify", "solve", "stats", "shutdown"];
@@ -136,7 +136,9 @@ impl Request {
     /// Renders the request as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        render(&self.to_value())
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
     }
 
     /// Parses one line. Unknown fields are ignored; `n`, `seed` and
@@ -151,7 +153,7 @@ impl Request {
             id: None,
             message: format!("malformed JSON: {e}"),
         })?;
-        let id = field(&value, "id").and_then(as_u64);
+        let id = value.get("id").and_then(Value::as_u64);
         let wire = |message: String| WireError { id, message };
         let op = get_str(&value, "op").map_err(wire)?;
         let id = get_u64(&value, "id").map_err(|m| WireError {
@@ -214,15 +216,13 @@ impl Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out)
+            .field("op", self.op())
+            .field("id", &self.id());
         match self {
-            Request::Classify { id, problem } => Value::Object(vec![
-                ("op".into(), Value::Str("classify".into())),
-                ("id".into(), Value::UInt(*id)),
-                ("problem".into(), problem.to_value()),
-            ]),
+            Request::Classify { problem, .. } => obj.field("problem", problem),
             Request::Solve {
-                id,
                 problem,
                 n,
                 seed,
@@ -230,37 +230,29 @@ impl Serialize for Request {
                 shards,
                 max_resident,
                 packing,
+                ..
             } => {
-                let mut fields = vec![
-                    ("op".into(), Value::Str("solve".into())),
-                    ("id".into(), Value::UInt(*id)),
-                    ("problem".into(), problem.to_value()),
-                    ("n".into(), Value::UInt(*n as u64)),
-                    ("seed".into(), Value::UInt(*seed)),
-                    ("detail".into(), Value::Bool(*detail)),
-                ];
+                let mut obj = obj
+                    .field("problem", problem)
+                    .field("n", n)
+                    .field("seed", seed)
+                    .field("detail", detail);
                 // The shard knobs are optional on the wire: absent means
                 // "monolithic", matching the tolerant parse above.
                 if let Some(s) = shards {
-                    fields.push(("shards".into(), Value::UInt(*s)));
+                    obj = obj.field("shards", s);
                 }
                 if let Some(r) = max_resident {
-                    fields.push(("max_resident".into(), Value::UInt(*r)));
+                    obj = obj.field("max_resident", r);
                 }
                 if let Some(p) = packing {
-                    fields.push(("packing".into(), Value::Bool(*p)));
+                    obj = obj.field("packing", p);
                 }
-                Value::Object(fields)
+                obj
             }
-            Request::Stats { id } => Value::Object(vec![
-                ("op".into(), Value::Str("stats".into())),
-                ("id".into(), Value::UInt(*id)),
-            ]),
-            Request::Shutdown { id } => Value::Object(vec![
-                ("op".into(), Value::Str("shutdown".into())),
-                ("id".into(), Value::UInt(*id)),
-            ]),
+            Request::Stats { .. } | Request::Shutdown { .. } => obj,
         }
+        .end();
     }
 }
 
@@ -482,7 +474,9 @@ impl Response {
     /// Renders the response as one JSON line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        render(&self.to_value())
+        let mut line = String::new();
+        self.write_json(&mut line);
+        line
     }
 
     /// Parses one line (the client half of the protocol).
@@ -495,7 +489,7 @@ impl Response {
             id: None,
             message: format!("malformed JSON: {e}"),
         })?;
-        let id = field(&value, "id").and_then(as_u64);
+        let id = value.get("id").and_then(Value::as_u64);
         let wire = |message: String| WireError { id, message };
         let kind = get_str(&value, "kind").map_err(wire)?;
         let need_id = || get_u64(&value, "id").map_err(|m| WireError { id, message: m });
@@ -512,14 +506,18 @@ impl Response {
             "record" => Ok(Response::Record {
                 id: need_id()?,
                 record: parse_record(
-                    field(&value, "record").ok_or_else(|| wire("missing `record`".into()))?,
+                    value
+                        .get("record")
+                        .ok_or_else(|| wire("missing `record`".into()))?,
                 )
                 .map_err(wire)?,
             }),
             "stats" => Ok(Response::Stats {
                 id: need_id()?,
                 stats: parse_stats(
-                    field(&value, "stats").ok_or_else(|| wire("missing `stats`".into()))?,
+                    value
+                        .get("stats")
+                        .ok_or_else(|| wire("missing `stats`".into()))?,
                 )
                 .map_err(wire)?,
             }),
@@ -546,57 +544,45 @@ impl Response {
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
+        // Every kind carries `id`; `error` and `overloaded` write `null`
+        // when none could be attributed.
+        let obj = ObjectWriter::new(out)
+            .field("kind", self.kind())
+            .field("id", &self.id());
         match self {
             Response::Plan {
-                id,
                 problem,
                 class,
                 source,
                 solver,
                 score,
                 cached,
-            } => Value::Object(vec![
-                ("kind".into(), Value::Str("plan".into())),
-                ("id".into(), Value::UInt(*id)),
-                ("problem".into(), Value::Str(problem.clone())),
-                ("class".into(), Value::Str(class.clone())),
-                ("source".into(), Value::Str(source.clone())),
-                ("solver".into(), Value::Str(solver.clone())),
-                ("score".into(), Value::UInt(*score)),
-                ("cached".into(), Value::Bool(*cached)),
-            ]),
-            Response::Record { id, record } => Value::Object(vec![
-                ("kind".into(), Value::Str("record".into())),
-                ("id".into(), Value::UInt(*id)),
-                ("record".into(), record.to_value()),
-            ]),
-            Response::Stats { id, stats } => Value::Object(vec![
-                ("kind".into(), Value::Str("stats".into())),
-                ("id".into(), Value::UInt(*id)),
-                ("stats".into(), stats.to_value()),
-            ]),
-            Response::Done { id } => Value::Object(vec![
-                ("kind".into(), Value::Str("done".into())),
-                ("id".into(), Value::UInt(*id)),
-            ]),
-            Response::Error { id, kind, message } => Value::Object(vec![
-                ("kind".into(), Value::Str("error".into())),
-                ("id".into(), id.to_value()),
-                ("error".into(), Value::Str(kind.tag().into())),
-                ("message".into(), Value::Str(message.clone())),
-            ]),
-            Response::Overloaded { id, queue_capacity } => Value::Object(vec![
-                ("kind".into(), Value::Str("overloaded".into())),
-                ("id".into(), id.to_value()),
-                ("queue_capacity".into(), Value::UInt(*queue_capacity)),
-            ]),
+                ..
+            } => obj
+                .field("problem", problem)
+                .field("class", class)
+                .field("source", source)
+                .field("solver", solver)
+                .field("score", score)
+                .field("cached", cached),
+            Response::Record { record, .. } => obj.field("record", record),
+            Response::Stats { stats, .. } => obj.field("stats", stats),
+            Response::Done { .. } => obj,
+            Response::Error { kind, message, .. } => {
+                obj.field("error", kind.tag()).field("message", message)
+            }
+            Response::Overloaded { queue_capacity, .. } => {
+                obj.field("queue_capacity", queue_capacity)
+            }
         }
+        .end();
     }
 }
 
 /// FNV-1a over a `u64` slice (little-endian bytes): the checksum solve
-/// records carry so clients can assert bit-identity cheaply.
+/// records carry so clients can assert bit-identity cheaply, and the
+/// label fingerprint of every `lcl churn` line.
 #[must_use]
 pub fn fnv1a_u64s(values: &[u64]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -609,14 +595,8 @@ pub fn fnv1a_u64s(values: &[u64]) -> u64 {
     hash
 }
 
-/// Compact one-line rendering (the vendored `serde_json::to_string`
-/// never emits newlines, which is what makes JSON-lines framing sound).
-fn render(value: &Value) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| "null".to_string())
-}
-
 fn parse_problem(value: &Value) -> Result<ProblemSpec, String> {
-    match field(value, "problem") {
+    match value.get("problem") {
         Some(Value::Str(name)) => {
             ProblemSpec::preset(name).ok_or_else(|| format!("unknown preset `{name}`"))
         }
@@ -657,12 +637,16 @@ fn parse_stats(value: &Value) -> Result<ServiceStats, String> {
         jobs_ok: get_u64(value, "jobs_ok")?,
         jobs_failed: get_u64(value, "jobs_failed")?,
         overloaded: get_u64(value, "overloaded")?,
-        plan_cache: parse_cache(field(value, "plan_cache").ok_or("missing `plan_cache`")?)?,
+        plan_cache: parse_cache(value.get("plan_cache").ok_or("missing `plan_cache`")?)?,
         instance_cache: parse_cache(
-            field(value, "instance_cache").ok_or("missing `instance_cache`")?,
+            value
+                .get("instance_cache")
+                .ok_or("missing `instance_cache`")?,
         )?,
         peeling_cache: parse_cache(
-            field(value, "peeling_cache").ok_or("missing `peeling_cache`")?,
+            value
+                .get("peeling_cache")
+                .ok_or("missing `peeling_cache`")?,
         )?,
     })
 }
@@ -676,42 +660,26 @@ fn parse_cache(value: &Value) -> Result<CacheStats, String> {
     })
 }
 
-fn field<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u64(value: &Value) -> Option<u64> {
-    match *value {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) if i >= 0 => Some(i as u64),
-        _ => None,
-    }
-}
-
 fn get_u64(value: &Value, name: &str) -> Result<u64, String> {
     opt_u64(value, name)?.ok_or_else(|| format!("missing `{name}`"))
 }
 
 fn opt_u64(value: &Value, name: &str) -> Result<Option<u64>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(v) => as_u64(v)
+        Some(v) => v
+            .as_u64()
             .map(Some)
             .ok_or_else(|| format!("`{name}` must be a non-negative integer")),
     }
 }
 
 fn get_f64(value: &Value, name: &str) -> Result<f64, String> {
-    match field(value, name) {
-        Some(Value::Float(x)) => Ok(*x),
-        Some(Value::UInt(u)) => Ok(*u as f64),
-        Some(Value::Int(i)) => Ok(*i as f64),
-        Some(_) => Err(format!("`{name}` must be a number")),
-        None => Err(format!("missing `{name}`")),
-    }
+    value
+        .get(name)
+        .ok_or_else(|| format!("missing `{name}`"))?
+        .as_f64()
+        .ok_or_else(|| format!("`{name}` must be a number"))
 }
 
 fn get_bool(value: &Value, name: &str) -> Result<bool, String> {
@@ -719,27 +687,33 @@ fn get_bool(value: &Value, name: &str) -> Result<bool, String> {
 }
 
 fn opt_bool(value: &Value, name: &str) -> Result<Option<bool>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(format!("`{name}` must be a boolean")),
+        Some(v) => v
+            .as_bool()
+            .map(Some)
+            .ok_or_else(|| format!("`{name}` must be a boolean")),
     }
 }
 
 fn get_str(value: &Value, name: &str) -> Result<String, String> {
-    match field(value, name) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("`{name}` must be a string")),
-        None => Err(format!("missing `{name}`")),
-    }
+    value
+        .get(name)
+        .ok_or_else(|| format!("missing `{name}`"))?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("`{name}` must be a string"))
 }
 
 fn opt_u64_array(value: &Value, name: &str) -> Result<Option<Vec<u64>>, String> {
-    match field(value, name) {
+    match value.get(name) {
         None | Some(Value::Null) => Ok(None),
         Some(Value::Array(items)) => items
             .iter()
-            .map(|v| as_u64(v).ok_or_else(|| format!("`{name}` must hold non-negative integers")))
+            .map(|v| {
+                v.as_u64()
+                    .ok_or_else(|| format!("`{name}` must hold non-negative integers"))
+            })
             .collect::<Result<Vec<u64>, String>>()
             .map(Some),
         Some(_) => Err(format!("`{name}` must be an array")),
@@ -855,45 +829,51 @@ pub fn schema_samples() -> Vec<(String, Value)> {
 }
 
 /// Flattens every [`schema_samples`] value into sorted `path: type`
-/// lines, the same shape `lcl_bench::report::schema_lines` emits for the
-/// sweep/plan goldens; CI diffs them against
+/// lines with [`flatten_schema`]; CI diffs them against
 /// `crates/bench/golden/service_schema.txt`.
 #[must_use]
 pub fn schema_lines() -> Vec<String> {
+    let mut lines: Vec<String> = schema_samples()
+        .iter()
+        .flat_map(|(name, value)| flatten_schema(name, value))
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Flattens a JSON value into sorted `path: type` lines — the *schema* of
+/// an emitted record or wire message, rooted at `name$`. Array elements
+/// collapse into one `[]` segment, so the lines are stable across sizes;
+/// CI diffs them against checked-in golden files (the wire schema here,
+/// the sweep and churn reports in `lcl`).
+#[must_use]
+pub fn flatten_schema(name: &str, value: &Value) -> Vec<String> {
     fn walk(v: &Value, path: &str, out: &mut std::collections::BTreeSet<String>) {
+        let kind = match v {
+            Value::Null => "null",
+            Value::Bool(_) => "bool",
+            Value::Int(_) | Value::UInt(_) => "int",
+            Value::Float(_) => "number",
+            Value::Str(_) => "string",
+            Value::Array(_) => "array",
+            Value::Object(_) => "object",
+        };
+        out.insert(format!("{path}: {kind}"));
         match v {
-            Value::Null => {
-                out.insert(format!("{path}: null"));
-            }
-            Value::Bool(_) => {
-                out.insert(format!("{path}: bool"));
-            }
-            Value::Int(_) | Value::UInt(_) => {
-                out.insert(format!("{path}: int"));
-            }
-            Value::Float(_) => {
-                out.insert(format!("{path}: number"));
-            }
-            Value::Str(_) => {
-                out.insert(format!("{path}: string"));
-            }
             Value::Array(items) => {
-                out.insert(format!("{path}: array"));
                 for item in items {
                     walk(item, &format!("{path}[]"), out);
                 }
             }
             Value::Object(fields) => {
-                out.insert(format!("{path}: object"));
                 for (key, val) in fields {
                     walk(val, &format!("{path}.{key}"), out);
                 }
             }
+            _ => {}
         }
     }
     let mut out = std::collections::BTreeSet::new();
-    for (name, value) in schema_samples() {
-        walk(&value, &format!("{name}$"), &mut out);
-    }
+    walk(value, &format!("{name}$"), &mut out);
     out.into_iter().collect()
 }

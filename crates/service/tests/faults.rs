@@ -186,6 +186,33 @@ fn invalid_and_unsolvable_specs_get_typed_errors() {
 }
 
 #[test]
+fn surrogate_pair_escapes_are_valid_json() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let path = socket_path("surrogate");
+    let _socket = serve_unix(&service, &path).expect("socket binds");
+    let mut client = RawClient::connect(&path);
+
+    // How Python's default `json.dumps` writes 🦀: a UTF-16 surrogate
+    // pair. The request must be served and keep its id.
+    client.send_raw(b"{\"op\":\"stats\",\"id\":1,\"note\":\"\\ud83e\\udd80\"}\n");
+    match client.recv() {
+        Response::Stats { id, .. } => assert_eq!(id, 1),
+        other => panic!("expected stats, got {other:?}"),
+    }
+
+    // A lone surrogate is still malformed.
+    client.send_raw(b"{\"op\":\"stats\",\"id\":2,\"note\":\"\\ud83e\"}\n");
+    match client.recv() {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
+        other => panic!("expected bad-request, got {other:?}"),
+    }
+    client.assert_alive(3);
+}
+
+#[test]
 fn half_written_line_then_disconnect_is_a_clean_close() {
     let service = Service::start(ServiceConfig {
         workers: 1,

@@ -10,7 +10,8 @@
 use lcl_core::problem_spec::{BwTable, PathTable, ProblemRegime, ProblemSpec};
 use lcl_harness::CacheStats;
 use lcl_service::protocol::{
-    fnv1a_u64s, schema_lines, DEFAULT_N, DEFAULT_SEED, ERROR_KINDS, REQUEST_OPS, RESPONSE_KINDS,
+    fnv1a_u64s, schema_lines, schema_samples, DEFAULT_N, DEFAULT_SEED, ERROR_KINDS, REQUEST_OPS,
+    RESPONSE_KINDS,
 };
 use lcl_service::{ErrorKind, Request, Response, ServiceStats, WireRecord};
 use proptest::prelude::*;
@@ -430,5 +431,80 @@ fn schema_matches_the_checked_in_golden() {
         emitted.iter().map(String::as_str).collect::<Vec<_>>(),
         "service wire schema drifted; regenerate with \
          `lcl serve --schema > crates/bench/golden/service_schema.txt`"
+    );
+}
+
+/// The exact bytes of every wire sample and every preset spec. The schema
+/// golden above is a sorted set of paths, so only this pins key order and
+/// the omission of unset shard fields. Regenerate after an intentional
+/// wire change with
+/// `UPDATE_GOLDEN=1 cargo test -p lcl_service --test protocol_roundtrip`.
+#[test]
+fn wire_and_spec_bytes_match_the_checked_in_golden() {
+    let mut emitted = Vec::new();
+    for (name, value) in schema_samples() {
+        let text = serde_json::to_string(&value).expect("serializable");
+        let line = if name.starts_with("req.") {
+            Request::from_line(&text).expect("sample parses").to_line()
+        } else {
+            Response::from_line(&text).expect("sample parses").to_line()
+        };
+        emitted.push(format!("{name} {line}"));
+    }
+    let defaults = Request::Solve {
+        id: 2,
+        problem: ProblemSpec::Coloring { colors: 3 },
+        n: 800,
+        seed: 7,
+        detail: false,
+        shards: None,
+        max_resident: None,
+        packing: None,
+    };
+    emitted.push(format!("req.solve.defaults {}", defaults.to_line()));
+    let summary = Response::Record {
+        id: 2,
+        record: record_from(7, false),
+    };
+    emitted.push(format!("resp.record.summary {}", summary.to_line()));
+    let anonymous = [
+        Response::Error {
+            id: None,
+            kind: ErrorKind::BadRequest,
+            message: "malformed JSON".into(),
+        },
+        Response::Overloaded {
+            id: None,
+            queue_capacity: 64,
+        },
+    ];
+    for response in anonymous {
+        emitted.push(format!(
+            "resp.{}.no-id {}",
+            response.kind(),
+            response.to_line()
+        ));
+    }
+    for (name, spec) in ProblemSpec::presets() {
+        let json = serde_json::to_string(&spec).expect("serializable");
+        emitted.push(format!("spec.{name} {json}"));
+    }
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/fixtures/custom_path.json");
+    let text = std::fs::read_to_string(&fixture).expect("fixture is checked in");
+    let value = serde_json::from_str(&text).expect("fixture is JSON");
+    let spec = ProblemSpec::from_value(&value).expect("fixture is a spec");
+    let json = serde_json::to_string(&spec).expect("serializable");
+    emitted.push(format!("spec.custom_path.json {json}"));
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../bench/golden/wire_lines.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, emitted.join("\n") + "\n").expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden wire lines are checked in");
+    assert_eq!(
+        golden.lines().collect::<Vec<_>>(),
+        emitted.iter().map(String::as_str).collect::<Vec<_>>(),
+        "wire or spec bytes drifted"
     );
 }
