@@ -16,9 +16,8 @@
 //! efficiency the weighted algorithms inherit.
 
 use lcl_core::dfree::{DfreeInput, DfreeOutput};
-use lcl_graph::{NodeId, NodeMask, Tree};
+use lcl_graph::{Bfs, NodeId, NodeMask, Tree};
 use lcl_local::math::ceil_log;
-use std::collections::VecDeque;
 
 /// One maximal connected copy component, grown around an `A`-node.
 #[derive(Debug, Clone)]
@@ -72,11 +71,12 @@ pub fn algorithm_a(
         .collect();
 
     // --- Connect paths between nearby A-nodes. ---
+    let mut bfs = Bfs::new(n);
     for &a in &a_nodes {
-        for (b, _) in masked_ball(tree, mask, a, connect_budget as u32) {
+        bfs.run(tree, &[a], Some(mask), connect_budget as u32);
+        for &b in bfs.order() {
             if b != a && input[b] == DfreeInput::Adjacent {
-                for u in tree.path_between(a, b) {
-                    debug_assert!(mask.contains(u), "tree paths stay inside components");
+                for u in bfs.walk(b) {
                     outputs[u] = Some(DfreeOutput::Connect);
                 }
             }
@@ -89,13 +89,13 @@ pub fn algorithm_a(
         if outputs[v] == Some(DfreeOutput::Connect) {
             continue;
         }
-        let ball = masked_ball(tree, mask, v, (r + 1) as u32);
-        let copies = witness_phi(tree, mask, v, &ball, d, r);
-        let mut members = Vec::with_capacity(copies.len());
-        for &(u, dist) in &ball {
-            if copies.contains(&u) {
+        bfs.run(tree, &[v], Some(mask), (r + 1) as u32);
+        let copies = witness_phi(&bfs, d, r);
+        let mut members = Vec::new();
+        for (&u, &copy) in bfs.order().iter().zip(&copies) {
+            if copy {
                 outputs[u] = Some(DfreeOutput::Copy);
-                members.push((u, dist));
+                members.push((u, bfs.dist(u)));
             } else if outputs[u].is_none() {
                 outputs[u] = Some(DfreeOutput::Decline);
             }
@@ -117,81 +117,49 @@ pub fn algorithm_a(
     }
 }
 
-/// BFS ball of radius `radius` inside the mask: `(node, distance)` pairs in
-/// BFS order.
-fn masked_ball(tree: &Tree, mask: &NodeMask, center: NodeId, radius: u32) -> Vec<(NodeId, u32)> {
-    let mut dist = std::collections::HashMap::new();
-    let mut order = vec![(center, 0u32)];
-    let mut queue = VecDeque::new();
-    dist.insert(center, 0u32);
-    queue.push_back(center);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        if du == radius {
-            continue;
-        }
-        for &w in tree.neighbors(u) {
-            let w = w as usize;
-            if mask.contains(w) && !dist.contains_key(&w) {
-                dist.insert(w, du + 1);
-                order.push((w, du + 1));
-                queue.push_back(w);
-            }
+/// The sequential witness `A*` of Lemma 37 on the ball `bfs` last searched,
+/// rooted at its source: whether each ball position copies. The root
+/// copies, and each copying node declines its `min(d, #children)` heaviest
+/// child subtrees (sizes measured inside the truncated ball, ties to the
+/// earlier port) while the other children copy.
+fn witness_phi(bfs: &Bfs, d: usize, r: usize) -> Vec<bool> {
+    let ball = bfs.order();
+    let m = ball.len();
+    // BFS appends a node's children together, in port order, when it
+    // dequeues the node: the children of position i are first[i]..first[i + 1].
+    let mut first = Vec::with_capacity(m + 1);
+    let mut next = 1;
+    for &u in ball {
+        first.push(next);
+        while next < m && bfs.parent(ball[next]) == Some(u) {
+            next += 1;
         }
     }
-    order
-}
-
-/// The sequential witness `A*` of Lemma 37: returns the set of nodes that
-/// copy. Rooted at `v`; each copying node declines its `min(d, #children)`
-/// heaviest child subtrees (sizes measured inside the truncated ball).
-fn witness_phi(
-    tree: &Tree,
-    mask: &NodeMask,
-    v: NodeId,
-    ball: &[(NodeId, u32)],
-    d: usize,
-    r: usize,
-) -> std::collections::HashSet<NodeId> {
-    use std::collections::HashMap;
-    let in_ball: HashMap<NodeId, u32> = ball.iter().copied().collect();
-    // Children in the ball-rooted orientation; ball is in BFS order.
-    let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let mut parent: HashMap<NodeId, NodeId> = HashMap::new();
-    for &(u, du) in ball {
-        for &w in tree.neighbors(u) {
-            let w = w as usize;
-            if mask.contains(w) && in_ball.get(&w) == Some(&(du + 1)) && !parent.contains_key(&w) {
-                parent.insert(w, u);
-                children.entry(u).or_default().push(w);
-            }
-        }
-    }
-    // Subtree sizes, bottom-up over the BFS order.
-    let mut size: HashMap<NodeId, usize> = ball.iter().map(|&(u, _)| (u, 1usize)).collect();
-    for &(u, _) in ball.iter().rev() {
-        if let Some(&p) = parent.get(&u) {
-            *size.get_mut(&p).expect("parent in ball") += size[&u];
-        }
+    first.push(m);
+    // Subtree sizes, bottom-up.
+    let mut size = vec![1u32; m];
+    for i in (0..m).rev() {
+        size[i] += (first[i]..first[i + 1]).map(|c| size[c]).sum::<u32>();
     }
     // Greedy top-down: copy, declining the d heaviest subtrees.
-    let mut copies = std::collections::HashSet::new();
-    copies.insert(v);
-    let mut queue = VecDeque::new();
-    queue.push_back(v);
-    while let Some(u) = queue.pop_front() {
-        let mut kids: Vec<NodeId> = children.get(&u).cloned().unwrap_or_default();
-        kids.sort_by_key(|c| std::cmp::Reverse(size[c]));
-        for (rank, c) in kids.into_iter().enumerate() {
-            if rank >= d {
-                copies.insert(c);
-                queue.push_back(c);
+    let mut copies = vec![false; m];
+    copies[0] = true;
+    let mut kids = Vec::new();
+    for i in 0..m {
+        if copies[i] {
+            kids.clear();
+            kids.extend(first[i]..first[i + 1]);
+            kids.sort_by_key(|&c| std::cmp::Reverse(size[c]));
+            for &c in kids.iter().skip(d) {
+                copies[c] = true;
             }
         }
     }
     // Lemma 37: the copy set dies out before the ball boundary.
     debug_assert!(
-        copies.iter().all(|u| (in_ball[u] as usize) <= r),
+        ball.iter()
+            .zip(&copies)
+            .all(|(&u, &copy)| !copy || bfs.dist(u) as usize <= r),
         "copy set must stay strictly inside the (r+1)-ball"
     );
     copies

@@ -33,7 +33,7 @@
 //! prunes (the invariant of Lemma 48: at most `2 + (d - 2) = d`).
 
 use lcl_core::dfree::{DfreeInput, DfreeOutput};
-use lcl_graph::{induced_paths, NodeId, NodeMask, Tree};
+use lcl_graph::{induced_paths, Bfs, NodeId, NodeMask, Tree};
 use std::collections::VecDeque;
 
 /// Rounds charged for the 5-hop `Connect` pre-step.
@@ -108,10 +108,12 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
         .iter()
         .filter(|&v| input[v] == DfreeInput::Adjacent)
         .collect();
+    let mut bfs = Bfs::new(n);
     for &a in &a_nodes {
-        for (b, _) in masked_ball(tree, mask, a, 5) {
+        bfs.run(tree, &[a], Some(mask), 5);
+        for &b in bfs.order() {
             if b != a && input[b] == DfreeInput::Adjacent {
-                for u in tree.path_between(a, b) {
+                for u in bfs.walk(b) {
                     outputs[u] = Some(DfreeOutput::Connect);
                     rounds[u] = PRESTEP_ROUNDS;
                 }
@@ -182,7 +184,6 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
                 oriented[u].push(v as u32);
             }
             process_assigned(
-                tree,
                 v,
                 up,
                 input,
@@ -253,7 +254,6 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
 /// component-root cascades.
 #[allow(clippy::too_many_arguments)]
 fn process_assigned(
-    tree: &Tree,
     v: NodeId,
     up: Option<NodeId>,
     input: &[DfreeInput],
@@ -272,7 +272,7 @@ fn process_assigned(
     // Adapted rule 2: a border node (declined while unassigned) that now
     // receives a layer cascades declines to everything reachable from it.
     if outputs[v].is_some() {
-        cascade_decline_children(tree, v, base, oriented, outputs, rounds, pending, claimed);
+        cascade_decline_children(v, base, oriented, outputs, rounds, pending, claimed);
         return;
     }
     // Reserve pruning: decline the (d - 2) heaviest pending child subtrees.
@@ -284,7 +284,7 @@ fn process_assigned(
     kids.sort_by_key(|&k| std::cmp::Reverse(pending_size[k]));
     let prune = d.saturating_sub(2).min(kids.len());
     for &k in kids.iter().take(prune) {
-        cascade_decline(tree, k, base, oriented, outputs, rounds, pending, claimed);
+        cascade_decline(k, base, oriented, outputs, rounds, pending, claimed);
     }
     let kept: u64 = kids.iter().skip(prune).map(|&k| pending_size[k]).sum();
 
@@ -301,9 +301,7 @@ fn process_assigned(
         let idx = component_index(v, iteration, components, component_of);
         claimed.insert(v);
         components[idx].members.push((v, 0));
-        claim_into(
-            tree, v, 0, idx, oriented, outputs, pending, claimed, components,
-        );
+        claim_into(v, 0, idx, oriented, outputs, pending, claimed, components);
         components[idx].iteration = iteration;
         components[idx].formed_round = base;
         return;
@@ -316,9 +314,7 @@ fn process_assigned(
             let idx = component_index(u, iteration, components, component_of);
             claimed.insert(v);
             components[idx].members.push((v, 1));
-            claim_into(
-                tree, v, 1, idx, oriented, outputs, pending, claimed, components,
-            );
+            claim_into(v, 1, idx, oriented, outputs, pending, claimed, components);
             return;
         }
         // v stays pending; it may serve a future component above.
@@ -327,7 +323,7 @@ fn process_assigned(
     } else {
         // Component root (no unassigned neighbor): everything reachable
         // that is still pending declines — adapted rule 3 cascades.
-        cascade_decline(tree, v, base, oriented, outputs, rounds, pending, claimed);
+        cascade_decline(v, base, oriented, outputs, rounds, pending, claimed);
     }
 }
 
@@ -356,7 +352,6 @@ fn component_index(
 /// `idx`, at depth offset `depth0`.
 #[allow(clippy::too_many_arguments)]
 fn claim_into(
-    tree: &Tree,
     from: NodeId,
     depth0: u32,
     idx: usize,
@@ -366,7 +361,6 @@ fn claim_into(
     claimed: &mut NodeMask,
     components: &mut [PendingComponent],
 ) {
-    let _ = tree;
     let mut queue = VecDeque::new();
     queue.push_back((from, depth0));
     while let Some((u, du)) = queue.pop_front() {
@@ -443,7 +437,7 @@ fn compress_chain(
         let from_end = idx.min(m - 1 - idx);
         if outputs[c].is_some() {
             // Adapted rule 2: an assigned border cascades declines.
-            cascade_decline_children(tree, c, base, oriented, outputs, rounds, pending, claimed);
+            cascade_decline_children(c, base, oriented, outputs, rounds, pending, claimed);
         } else if input[c] == DfreeInput::Adjacent {
             // Adapted rule 1, compress case: both chain neighbors decline
             // (borders), the pending reachable set becomes the component.
@@ -457,9 +451,7 @@ fn compress_chain(
                     rounds[u] = base;
                     pending.remove(u);
                     // Rule 1: cascades from already-assigned borders.
-                    cascade_decline_children(
-                        tree, u, base, oriented, outputs, rounds, pending, claimed,
-                    );
+                    cascade_decline_children(u, base, oriented, outputs, rounds, pending, claimed);
                 }
             }
             // Prune v's own pendant reserves before claiming.
@@ -471,21 +463,19 @@ fn compress_chain(
             kids.sort_by_key(|&k| std::cmp::Reverse(pending_size[k]));
             let prune = d.saturating_sub(2).min(kids.len());
             for &k in kids.iter().take(prune) {
-                cascade_decline(tree, k, base, oriented, outputs, rounds, pending, claimed);
+                cascade_decline(k, base, oriented, outputs, rounds, pending, claimed);
             }
             let idx = component_index(c, iteration, components, component_of);
             claimed.insert(c);
             pending.remove(c);
             components[idx].members.push((c, 0));
-            claim_into(
-                tree, c, 0, idx, oriented, outputs, pending, claimed, components,
-            );
+            claim_into(c, 0, idx, oriented, outputs, pending, claimed, components);
             components[idx].iteration = iteration;
             components[idx].formed_round = base;
         } else if from_end >= ELL {
             // Adapted rule 4: deep interior declines with its reserves.
             if outputs[c].is_none() && !claimed.contains(c) {
-                cascade_decline(tree, c, base, oriented, outputs, rounds, pending, claimed);
+                cascade_decline(c, base, oriented, outputs, rounds, pending, claimed);
             }
         } else if outputs[c].is_none() && !claimed.contains(c) {
             // Near-end chain node: stays pending until a cascade arrives
@@ -518,16 +508,14 @@ fn compress_chain(
         pending.remove(end);
         components[idx_c].members.push((end, 1));
         claim_into(
-            tree, end, 1, idx_c, oriented, outputs, pending, claimed, components,
+            end, 1, idx_c, oriented, outputs, pending, claimed, components,
         );
     }
 }
 
 /// Declines `start` and every pending node reachable from it along
 /// oriented edges, charging `base + depth` rounds.
-#[allow(clippy::too_many_arguments)]
 fn cascade_decline(
-    tree: &Tree,
     start: NodeId,
     base: u64,
     oriented: &[Vec<u32>],
@@ -536,7 +524,6 @@ fn cascade_decline(
     pending: &mut NodeMask,
     claimed: &NodeMask,
 ) {
-    let _ = tree;
     if outputs[start].is_some() || claimed.contains(start) {
         return;
     }
@@ -560,9 +547,7 @@ fn cascade_decline(
 
 /// Like [`cascade_decline`] but starting from the children of `start`
 /// (used when `start` itself already declined as a border).
-#[allow(clippy::too_many_arguments)]
 fn cascade_decline_children(
-    tree: &Tree,
     start: NodeId,
     base: u64,
     oriented: &[Vec<u32>],
@@ -571,9 +556,8 @@ fn cascade_decline_children(
     pending: &mut NodeMask,
     claimed: &NodeMask,
 ) {
-    for &w in oriented[start].clone().iter() {
+    for &w in &oriented[start] {
         cascade_decline(
-            tree,
             w as usize,
             base + 1,
             oriented,
@@ -583,29 +567,6 @@ fn cascade_decline_children(
             claimed,
         );
     }
-}
-
-fn masked_ball(tree: &Tree, mask: &NodeMask, center: NodeId, radius: u32) -> Vec<(NodeId, u32)> {
-    let mut dist = std::collections::HashMap::new();
-    let mut order = vec![(center, 0u32)];
-    let mut queue = VecDeque::new();
-    dist.insert(center, 0u32);
-    queue.push_back(center);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        if du == radius {
-            continue;
-        }
-        for &w in tree.neighbors(u) {
-            let w = w as usize;
-            if mask.contains(w) && !dist.contains_key(&w) {
-                dist.insert(w, du + 1);
-                order.push((w, du + 1));
-                queue.push_back(w);
-            }
-        }
-    }
-    order
 }
 
 /// Resolves all pending components into `Copy` outputs (members copy at

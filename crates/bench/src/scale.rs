@@ -233,7 +233,6 @@ fn run_one(
         // timings stay honest and memory stays O(n).
         threads: 1,
         max_resident_instances: 1,
-        ..ScaleConfig::default()
     });
     session
         .push(algorithm, spec, cfg)

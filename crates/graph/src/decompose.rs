@@ -12,6 +12,7 @@
 //! *splitter* nodes into the next rake layer (`V^R_{i+1,1}`), exactly the
 //! treatment of Section 11.7.
 
+use crate::bfs::Bfs;
 use crate::mask::{induced_components, NodeMask};
 use crate::tree::{NodeId, Tree};
 
@@ -388,6 +389,7 @@ impl Decomposition {
         }
         // Property 2: rake-layer components have diameter ≤ 2γ and at most
         // one node with a higher-layer neighbor.
+        let mut bfs = Bfs::new(n);
         for i in 1..=self.layers_used as u32 {
             let mask = NodeMask::from_nodes(
                 n,
@@ -414,7 +416,7 @@ impl Decomposition {
                     ));
                 }
                 if comp.len() > 1 {
-                    let diam = component_diameter(tree, &comp);
+                    let diam = component_diameter(tree, &mask, comp[0], &mut bfs);
                     if diam > 2 * self.gamma as u32 {
                         return Err(format!(
                             "rake component diameter {diam} > 2γ = {}",
@@ -428,44 +430,18 @@ impl Decomposition {
     }
 }
 
-fn component_diameter(tree: &Tree, comp: &[NodeId]) -> u32 {
-    let n = tree.node_count();
-    let mask = NodeMask::from_nodes(n, comp.iter().copied());
-    // Double BFS restricted to the component.
-    let far = masked_bfs_far(tree, &mask, comp[0]);
-    masked_bfs_far_dist(tree, &mask, far)
-}
-
-fn masked_bfs_far(tree: &Tree, mask: &NodeMask, source: NodeId) -> NodeId {
-    let (far, _) = masked_bfs(tree, mask, source);
-    far
-}
-
-fn masked_bfs_far_dist(tree: &Tree, mask: &NodeMask, source: NodeId) -> u32 {
-    let (_, d) = masked_bfs(tree, mask, source);
-    d
-}
-
-fn masked_bfs(tree: &Tree, mask: &NodeMask, source: NodeId) -> (NodeId, u32) {
-    let mut dist = std::collections::HashMap::new();
-    let mut queue = std::collections::VecDeque::new();
-    dist.insert(source, 0u32);
-    queue.push_back(source);
-    let mut far = (source, 0);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        if du > far.1 {
-            far = (u, du);
-        }
-        for &w in tree.neighbors(u) {
-            let w = w as usize;
-            if mask.contains(w) && !dist.contains_key(&w) {
-                dist.insert(w, du + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    far
+/// Diameter of the component of `tree[mask]` that holds `v`, by double BFS
+/// inside the mask.
+fn component_diameter(tree: &Tree, mask: &NodeMask, v: NodeId, bfs: &mut Bfs) -> u32 {
+    let far = *bfs
+        .run(tree, &[v], Some(mask), Bfs::UNBOUNDED)
+        .last()
+        .expect("v is visited");
+    let farthest = *bfs
+        .run(tree, &[far], Some(mask), Bfs::UNBOUNDED)
+        .last()
+        .expect("far is visited");
+    bfs.dist(farthest)
 }
 
 enum ChainPart {

@@ -37,31 +37,7 @@ impl Levels {
     /// Panics if `k == 0` or `k > 254` (levels are stored as `u8`, and the
     /// paper only uses constant `k`).
     pub fn compute(tree: &Tree, k: usize) -> Self {
-        assert!(k >= 1, "k must be at least 1");
-        assert!(k <= 254, "k too large for u8 level storage");
-        let n = tree.node_count();
-        let mut level = vec![(k + 1) as u8; n];
-        let mut remaining = NodeMask::full(n);
-        let mut degree: Vec<usize> = tree.nodes().map(|v| tree.degree(v)).collect();
-        for i in 1..=k {
-            let peel: Vec<NodeId> = remaining.iter().filter(|&v| degree[v] <= 2).collect();
-            if peel.is_empty() {
-                break;
-            }
-            for &v in &peel {
-                level[v] = i as u8;
-                remaining.remove(v);
-            }
-            for &v in &peel {
-                for &w in tree.neighbors(v) {
-                    let w = w as usize;
-                    if remaining.contains(w) {
-                        degree[w] -= 1;
-                    }
-                }
-            }
-        }
-        Levels { k, level }
+        Self::compute_masked(tree, &NodeMask::full(tree.node_count()), k)
     }
 
     /// Computes levels by the peeling process restricted to the subgraph
@@ -78,21 +54,17 @@ impl Levels {
     pub fn compute_masked(tree: &Tree, mask: &NodeMask, k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(k <= 254, "k too large for u8 level storage");
-        let n = tree.node_count();
-        let mut level = vec![0u8; n];
-        for v in mask.iter() {
-            level[v] = (k + 1) as u8;
+        let mut level = vec![(k + 1) as u8; tree.node_count()];
+        let mut degree: Vec<usize> = tree.nodes().map(|v| tree.degree(v)).collect();
+        // A node outside the mask gets the sentinel level and takes one off
+        // each neighbour's degree, leaving degrees inside the mask.
+        for v in tree.nodes().filter(|&v| !mask.contains(v)) {
+            level[v] = 0;
+            for &w in tree.neighbors(v) {
+                degree[w as usize] -= 1;
+            }
         }
         let mut remaining = mask.clone();
-        let mut degree: Vec<usize> = (0..n)
-            .map(|v| {
-                if mask.contains(v) {
-                    mask.induced_degree(tree, v)
-                } else {
-                    0
-                }
-            })
-            .collect();
         for i in 1..=k {
             let peel: Vec<NodeId> = remaining.iter().filter(|&v| degree[v] <= 2).collect();
             if peel.is_empty() {

@@ -6,6 +6,8 @@
 //!
 //! - a compact CSR [`Tree`] type with the traversal primitives used by the
 //!   LOCAL-model algorithms ([`tree`]),
+//! - the one breadth-first search, [`Bfs`], reusable across the masked,
+//!   radius-bounded searches of a solver call ([`bfs`]),
 //! - [`NodeMask`]-based induced-subgraph utilities, including extraction of
 //!   path-shaped components ([`mask`]),
 //! - elementary and random tree [`generators`], including the balanced
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod bfs;
 pub mod decompose;
 mod error;
 pub mod generators;
@@ -47,6 +50,7 @@ pub mod surgery;
 pub mod tree;
 pub mod weighted;
 
+pub use bfs::Bfs;
 pub use error::TreeError;
 pub use mask::{induced_components, induced_paths, InducedPath, NodeMask};
 pub use surgery::{

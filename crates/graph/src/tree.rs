@@ -4,6 +4,7 @@
 //! array plus per-node offsets. This keeps traversals cache-friendly for the
 //! million-node instances the benchmark harness uses.
 
+use crate::bfs::Bfs;
 use crate::error::TreeError;
 
 /// Index of a node inside a [`Tree`]. Nodes are numbered `0..n`.
@@ -241,43 +242,15 @@ impl Tree {
     /// assert_eq!(p.bfs_distances(0), vec![0, 1, 2, 3, 4]);
     /// ```
     pub fn bfs_distances(&self, source: NodeId) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[source] = 0;
-        queue.push_back(source);
-        while let Some(u) = queue.pop_front() {
-            for &w in self.neighbors(u) {
-                let w = w as usize;
-                if dist[w] == u32::MAX {
-                    dist[w] = dist[u] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+        self.multi_source_distances(&[source])
     }
 
     /// Multi-source BFS: distance from the nearest of `sources` to every
     /// node, `u32::MAX` when `sources` is empty.
     pub fn multi_source_distances(&self, sources: &[NodeId]) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        for &s in sources {
-            if dist[s] == u32::MAX {
-                dist[s] = 0;
-                queue.push_back(s);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &w in self.neighbors(u) {
-                let w = w as usize;
-                if dist[w] == u32::MAX {
-                    dist[w] = dist[u] + 1;
-                    queue.push_back(w);
-                }
-            }
-        }
-        dist
+        let mut bfs = Bfs::new(self.node_count());
+        bfs.run(self, sources, None, Bfs::UNBOUNDED);
+        bfs.into_distances()
     }
 
     /// The farthest node from `source` together with its distance.
@@ -306,51 +279,18 @@ impl Tree {
 
     /// The unique simple path between `u` and `v`, inclusive of both ends.
     pub fn path_between(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let mut parent = vec![u32::MAX; self.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        parent[u] = u as u32;
-        queue.push_back(u);
-        'bfs: while let Some(x) = queue.pop_front() {
-            for &w in self.neighbors(x) {
-                let w = w as usize;
-                if parent[w] == u32::MAX {
-                    parent[w] = x as u32;
-                    if w == v {
-                        break 'bfs;
-                    }
-                    queue.push_back(w);
-                }
-            }
-        }
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != u {
-            cur = parent[cur] as usize;
-            path.push(cur);
-        }
-        path.reverse();
-        path
+        let mut bfs = Bfs::new(self.node_count());
+        bfs.run(self, &[v], None, Bfs::UNBOUNDED);
+        bfs.walk(u).collect()
     }
 
     /// A BFS ordering of nodes rooted at `root`, together with the parent of
     /// each node in that rooted orientation (`parent[root] == root`).
     pub fn rooted_order(&self, root: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut order = Vec::with_capacity(self.node_count());
-        let mut parent = vec![usize::MAX; self.node_count()];
-        let mut queue = std::collections::VecDeque::new();
-        parent[root] = root;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &w in self.neighbors(u) {
-                let w = w as usize;
-                if parent[w] == usize::MAX {
-                    parent[w] = u;
-                    queue.push_back(w);
-                }
-            }
-        }
-        (order, parent)
+        let mut bfs = Bfs::new(self.node_count());
+        bfs.run(self, &[root], None, Bfs::UNBOUNDED);
+        let parent = self.nodes().map(|v| bfs.parent(v).unwrap_or(v)).collect();
+        (bfs.order().to_vec(), parent)
     }
 
     /// Size of the subtree hanging from each node when rooted at `root`.

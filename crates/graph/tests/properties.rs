@@ -4,19 +4,97 @@ use lcl_graph::decompose::{Decomposition, RakeCompressParams};
 use lcl_graph::generators::random_bounded_degree_tree;
 use lcl_graph::hierarchical::LowerBoundGraph;
 use lcl_graph::levels::Levels;
-use lcl_graph::{induced_paths, NodeMask, Tree, TreeBuilder};
+use lcl_graph::{induced_paths, Bfs, NodeMask, Tree, TreeBuilder};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
     (2usize..200, 2usize..6, any::<u64>())
         .prop_map(|(n, d, seed)| random_bounded_degree_tree(n, d, seed))
 }
 
+/// What a search visits, as [`naive_bfs`] computes it: the visit order,
+/// each node's distance (`u32::MAX` off the search) and parent (`None` for
+/// sources and unvisited nodes).
+type Search = (Vec<usize>, Vec<u32>, Vec<Option<usize>>);
+
+/// A textbook BFS with fresh state per call, the reference for [`Bfs`]:
+/// FIFO, neighbours in port order, the sources first (each once, whatever
+/// the mask says), other nodes only inside `mask`, and nodes at `radius`
+/// not expanded.
+fn naive_bfs(tree: &Tree, sources: &[usize], mask: Option<&NodeMask>, radius: u32) -> Search {
+    let n = tree.node_count();
+    let mut dist = vec![u32::MAX; n];
+    let mut parent = vec![None; n];
+    let mut order = Vec::new();
+    let mut queue = VecDeque::new();
+    for &s in sources {
+        if dist[s] == u32::MAX {
+            dist[s] = 0;
+            order.push(s);
+            queue.push_back(s);
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        if dist[u] >= radius {
+            continue;
+        }
+        for &w in tree.neighbors(u) {
+            let w = w as usize;
+            if dist[w] == u32::MAX && mask.is_none_or(|m| m.contains(w)) {
+                dist[w] = dist[u] + 1;
+                parent[w] = Some(u);
+                order.push(w);
+                queue.push_back(w);
+            }
+        }
+    }
+    (order, dist, parent)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn one_bfs_matches_a_naive_bfs_across_reused_searches(tree in arb_tree(), seed in any::<u64>()) {
+        // Several searches on one `Bfs`, with different sources, masks and
+        // radii: anything one search leaves behind shows up in the next.
+        let n = tree.node_count();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut bfs = Bfs::new(n);
+        for search in 0..8 {
+            let radius = match search % 4 {
+                0 => 0,
+                1 => Bfs::UNBOUNDED,
+                _ => rng.gen_range(1..8),
+            };
+            let mask = (search % 3 != 0).then(|| {
+                let density = rng.gen_range(0.2..1.0);
+                NodeMask::from_nodes(n, tree.nodes().filter(|_| rng.gen_bool(density)))
+            });
+            // Sources may repeat, sit outside the mask, or be absent.
+            let sources: Vec<usize> = (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..n)).collect();
+            let (order, dist, parent) = naive_bfs(&tree, &sources, mask.as_ref(), radius);
+            prop_assert_eq!(bfs.run(&tree, &sources, mask.as_ref(), radius), &order[..]);
+            prop_assert_eq!(bfs.order(), &order[..]);
+            for v in tree.nodes() {
+                prop_assert_eq!(bfs.dist(v), dist[v], "distance of {}", v);
+                prop_assert_eq!(bfs.parent(v), parent[v], "parent of {}", v);
+            }
+            for &v in &order {
+                let walk: Vec<usize> = bfs.walk(v).collect();
+                prop_assert_eq!(walk.len() as u32, dist[v] + 1, "walk length from {}", v);
+                prop_assert_eq!(walk[0], v);
+                prop_assert!(sources.contains(walk.last().unwrap()), "walk from {} ends off the sources", v);
+                for pair in walk.windows(2) {
+                    prop_assert!(tree.neighbors(pair[0]).contains(&(pair[1] as u32)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn tree_invariants(tree in arb_tree()) {

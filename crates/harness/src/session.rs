@@ -24,10 +24,6 @@ pub struct Job {
 /// too large to keep resident all at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleConfig {
-    /// Default chunk size injected into engine-backed jobs whose
-    /// [`EngineConfig`](lcl_local::engine::EngineConfig) left `chunk_size`
-    /// at `0`.
-    pub chunk_size: usize,
     /// Worker threads for building instances and running jobs
     /// (`0` = available parallelism).
     pub threads: usize,
@@ -40,7 +36,6 @@ pub struct ScaleConfig {
 impl Default for ScaleConfig {
     fn default() -> Self {
         ScaleConfig {
-            chunk_size: 0,
             threads: 0,
             max_resident_instances: 8,
         }
@@ -167,17 +162,9 @@ impl Session {
     ///
     /// Panics if a worker thread panics (propagated by `std::thread::scope`).
     pub fn run(self) -> Result<Vec<RunRecord>, HarnessError> {
-        let mut jobs = self.jobs;
+        let jobs = self.jobs;
         if jobs.is_empty() {
             return Ok(Vec::new());
-        }
-        // Fill engine chunk sizes left at "defer to the session".
-        if self.scale.chunk_size != 0 {
-            for job in &mut jobs {
-                if job.config.engine.chunk_size == 0 {
-                    job.config.engine.chunk_size = self.scale.chunk_size;
-                }
-            }
         }
         // Group jobs by spec so each unique instance is built once; jobs
         // themselves (including many seeds on one instance) all run in
@@ -598,7 +585,6 @@ mod tests {
         let streamed = queue(Session::new().scale(ScaleConfig {
             max_resident_instances: 2,
             threads: 3,
-            ..ScaleConfig::default()
         }))
         .run()
         .unwrap();
@@ -609,24 +595,6 @@ mod tests {
             assert_eq!(a.labels, b.labels);
             assert_eq!(a.rounds, b.rounds);
         }
-    }
-
-    #[test]
-    fn session_chunk_size_fills_deferred_engine_jobs() {
-        use lcl_local::engine::EngineConfig;
-        let mut s = Session::new().scale(ScaleConfig {
-            chunk_size: 64,
-            ..ScaleConfig::default()
-        });
-        s.push(
-            "two-coloring",
-            InstanceSpec::Path { n: 128 },
-            RunConfig::seeded(1).with_engine(EngineConfig::default()),
-        )
-        .unwrap();
-        let records = s.run().unwrap();
-        assert_eq!(records[0].engine, "chunked");
-        assert!(records[0].verified);
     }
 
     #[test]

@@ -213,6 +213,69 @@ fn surrogate_pair_escapes_are_valid_json() {
 }
 
 #[test]
+fn malformed_numbers_are_bad_requests() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let path = socket_path("numbers");
+    let _socket = serve_unix(&service, &path).expect("socket binds");
+    let mut client = RawClient::connect(&path);
+
+    // Leading zeros and bare decimal points are not JSON numbers (RFC
+    // 8259), whether they sit in the id or in an ignored field.
+    for (i, number) in ["01", "-01", "00", ".5", "-.5", "1.", "1.e5"]
+        .iter()
+        .enumerate()
+    {
+        let alive = 10 * i as u64 + 10;
+        for line in [
+            format!("{{\"op\":\"stats\",\"id\":{number}}}\n"),
+            format!("{{\"op\":\"stats\",\"id\":{alive},\"note\":{number}}}\n"),
+        ] {
+            client.send_raw(line.as_bytes());
+            match client.recv() {
+                Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest, "{line}"),
+                other => panic!("expected bad-request for {line}, got {other:?}"),
+            }
+        }
+        client.assert_alive(alive + 1);
+    }
+}
+
+#[test]
+fn raw_control_characters_in_strings_are_bad_requests() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let path = socket_path("control");
+    let _socket = serve_unix(&service, &path).expect("socket binds");
+    let mut client = RawClient::connect(&path);
+
+    // Inside a string, U+0000..U+001F must be escaped: `\t` is fine, a raw
+    // tab is not.
+    client.send_raw(b"{\"op\":\"stats\",\"id\":1,\"note\":\"a\\tb\"}\n");
+    match client.recv() {
+        Response::Stats { id, .. } => assert_eq!(id, 1),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    for (i, raw) in [b'\t', 0x01, 0x1f].into_iter().enumerate() {
+        let id = 2 * i as u64 + 2;
+        let mut line = format!("{{\"op\":\"stats\",\"id\":{id},\"note\":\"a").into_bytes();
+        line.extend([raw, b'b', b'"', b'}', b'\n']);
+        client.send_raw(&line);
+        match client.recv() {
+            Response::Error { kind, .. } => {
+                assert_eq!(kind, ErrorKind::BadRequest, "byte {raw:#x}")
+            }
+            other => panic!("expected bad-request for byte {raw:#x}, got {other:?}"),
+        }
+        client.assert_alive(id + 1);
+    }
+}
+
+#[test]
 fn half_written_line_then_disconnect_is_a_clean_close() {
     let service = Service::start(ServiceConfig {
         workers: 1,
