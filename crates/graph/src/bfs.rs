@@ -1,12 +1,11 @@
 //! The one breadth-first search over a [`Tree`].
 //!
 //! Every search that grows from given sources runs through [`Bfs`]: the
-//! plain distances, rooted orders and tree paths of [`Tree`], the
-//! component diameters of [`crate::decompose`], and the masked,
-//! radius-bounded balls of the structural solvers. A solver call allocates
-//! one `Bfs` and reuses it for all of its searches. Each search first
-//! forgets the nodes the previous one visited, so it costs O(ball), not
-//! O(n).
+//! plain distances of [`Tree`], the component diameters of
+//! [`crate::decompose`], and the masked, radius-bounded balls of the
+//! structural solvers. A solver call allocates one `Bfs` and reuses it for
+//! all of its searches. Each search first forgets the nodes the previous
+//! one visited, so it costs O(ball), not O(n).
 
 use crate::mask::NodeMask;
 use crate::tree::{NodeId, Tree};

@@ -277,34 +277,6 @@ impl Tree {
         self.farthest_from(far).1
     }
 
-    /// The unique simple path between `u` and `v`, inclusive of both ends.
-    pub fn path_between(&self, u: NodeId, v: NodeId) -> Vec<NodeId> {
-        let mut bfs = Bfs::new(self.node_count());
-        bfs.run(self, &[v], None, Bfs::UNBOUNDED);
-        bfs.walk(u).collect()
-    }
-
-    /// A BFS ordering of nodes rooted at `root`, together with the parent of
-    /// each node in that rooted orientation (`parent[root] == root`).
-    pub fn rooted_order(&self, root: NodeId) -> (Vec<NodeId>, Vec<NodeId>) {
-        let mut bfs = Bfs::new(self.node_count());
-        bfs.run(self, &[root], None, Bfs::UNBOUNDED);
-        let parent = self.nodes().map(|v| bfs.parent(v).unwrap_or(v)).collect();
-        (bfs.order().to_vec(), parent)
-    }
-
-    /// Size of the subtree hanging from each node when rooted at `root`.
-    pub fn subtree_sizes(&self, root: NodeId) -> Vec<u32> {
-        let (order, parent) = self.rooted_order(root);
-        let mut size = vec![1u32; self.node_count()];
-        for &v in order.iter().rev() {
-            if v != root {
-                size[parent[v]] += size[v];
-            }
-        }
-        size
-    }
-
     /// Nodes of the tree whose degree is exactly 1 (the leaves).
     ///
     /// The single-node tree has no leaves under this definition.
@@ -489,21 +461,35 @@ mod tests {
 
     #[test]
     fn path_between_endpoints() {
+        // The tree path from `u` to `v` is the walk back from `u` of a
+        // search from `v`.
         let t = small_tree();
-        assert_eq!(t.path_between(0, 4), vec![0, 1, 3, 4]);
-        assert_eq!(t.path_between(2, 2), vec![2]);
-        assert_eq!(t.path_between(4, 0), vec![4, 3, 1, 0]);
+        let mut bfs = Bfs::new(t.node_count());
+        let mut path = |u: NodeId, v: NodeId| {
+            bfs.run(&t, &[v], None, Bfs::UNBOUNDED);
+            bfs.walk(u).collect::<Vec<_>>()
+        };
+        assert_eq!(path(0, 4), vec![0, 1, 3, 4]);
+        assert_eq!(path(2, 2), vec![2]);
+        assert_eq!(path(4, 0), vec![4, 3, 1, 0]);
     }
 
     #[test]
     fn rooted_order_and_subtree_sizes() {
         let t = small_tree();
-        let (order, parent) = t.rooted_order(1);
+        let mut bfs = Bfs::new(t.node_count());
+        let order = bfs.run(&t, &[1], None, Bfs::UNBOUNDED).to_vec();
         assert_eq!(order[0], 1);
-        assert_eq!(parent[1], 1);
-        assert_eq!(parent[0], 1);
-        assert_eq!(parent[4], 3);
-        let sizes = t.subtree_sizes(1);
+        assert_eq!(bfs.parent(1), None);
+        assert_eq!(bfs.parent(0), Some(1));
+        assert_eq!(bfs.parent(4), Some(3));
+        // Subtree sizes, summed bottom-up over the rooted order.
+        let mut sizes = vec![1u32; t.node_count()];
+        for &v in order.iter().rev() {
+            if let Some(p) = bfs.parent(v) {
+                sizes[p] += sizes[v];
+            }
+        }
         assert_eq!(sizes[1], 5);
         assert_eq!(sizes[3], 2);
         assert_eq!(sizes[0], 1);

@@ -112,7 +112,11 @@ proptest! {
     fn path_between_is_a_tree_path(tree in arb_tree(), a in any::<prop::sample::Index>(), b in any::<prop::sample::Index>()) {
         let n = tree.node_count();
         let (u, v) = (a.index(n), b.index(n));
-        let p = tree.path_between(u, v);
+        // The tree path from `u` to `v` is the walk back from `u` of a
+        // search from `v`.
+        let mut bfs = Bfs::new(n);
+        bfs.run(&tree, &[v], None, Bfs::UNBOUNDED);
+        let p: Vec<usize> = bfs.walk(u).collect();
         prop_assert_eq!(p[0], u);
         prop_assert_eq!(*p.last().unwrap(), v);
         for w in p.windows(2) {
@@ -189,7 +193,9 @@ proptest! {
     fn rooted_order_is_topological_and_subtree_sizes_sum(tree in arb_tree(), r in any::<prop::sample::Index>()) {
         let n = tree.node_count();
         let root = r.index(n);
-        let (order, parent) = tree.rooted_order(root);
+        let mut bfs = Bfs::new(n);
+        let order = bfs.run(&tree, &[root], None, Bfs::UNBOUNDED).to_vec();
+        let parent: Vec<usize> = tree.nodes().map(|v| bfs.parent(v).unwrap_or(v)).collect();
         prop_assert_eq!(order.len(), n);
         prop_assert_eq!(order[0], root);
         prop_assert_eq!(parent[root], root);
@@ -204,10 +210,16 @@ proptest! {
                 prop_assert!(position[parent[v]] < position[v], "child {} before parent", v);
             }
         }
-        // Subtree sizes: the root's subtree is everything, and every node's
-        // size is one plus its children's sizes (so the per-node sizes sum
-        // to n along every root-to-node chain consistently).
-        let sizes = tree.subtree_sizes(root);
+        // Subtree sizes, summed bottom-up over the rooted order: the root's
+        // subtree is everything, and every node's size is one plus its
+        // children's sizes (so the per-node sizes sum to n along every
+        // root-to-node chain consistently).
+        let mut sizes = vec![1u32; n];
+        for &v in order.iter().rev() {
+            if v != root {
+                sizes[parent[v]] += sizes[v];
+            }
+        }
         prop_assert_eq!(sizes[root] as usize, n);
         for v in tree.nodes() {
             let children_sum: u32 = tree

@@ -1,13 +1,13 @@
 //! Property-based tests for tree surgery: arbitrary valid churn batches must
-//! preserve every CSR invariant the engine relies on, keep `rooted_order`
-//! topological, and keep the `subtree_sizes` identity — on random trees and
-//! on every adversarial shape family.
+//! preserve every CSR invariant the engine relies on, keep a rooted BFS
+//! order topological, and keep the subtree-size identity — on random trees
+//! and on every adversarial shape family.
 
 use lcl_graph::generators::{
     broom, caterpillar, complete_ary_tree, heavy_path_skewed, ladder, path,
     random_bounded_degree_tree, spider,
 };
-use lcl_graph::{churn_batch, BatchResult, OpWeights, ShapeDiscipline, Tree};
+use lcl_graph::{churn_batch, BatchResult, Bfs, OpWeights, ShapeDiscipline, Tree};
 use proptest::prelude::*;
 
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -36,9 +36,11 @@ fn assert_batch_sound(before: &Tree, r: &BatchResult) {
     assert_eq!(tree.adjacency().len(), 2 * (n - 1));
     assert_eq!(tree.edge_count(), n - 1);
     // Connected: BFS reaches everything.
-    assert!(tree.bfs_distances(0).iter().all(|&d| d != u32::MAX));
-    // rooted_order stays topological: every node appears after its parent.
-    let (order, parent) = tree.rooted_order(0);
+    let mut bfs = Bfs::new(n);
+    let order = bfs.run(tree, &[0], None, Bfs::UNBOUNDED).to_vec();
+    assert!(tree.nodes().all(|v| bfs.dist(v) != u32::MAX));
+    // The rooted order is topological: every node appears after its parent.
+    let parent: Vec<usize> = tree.nodes().map(|v| bfs.parent(v).unwrap_or(v)).collect();
     assert_eq!(order.len(), n);
     let mut position = vec![usize::MAX; n];
     for (i, &v) in order.iter().enumerate() {
@@ -49,9 +51,15 @@ fn assert_batch_sound(before: &Tree, r: &BatchResult) {
             assert!(position[parent[v]] < position[v], "order not topological");
         }
     }
-    // subtree_sizes identity: the root's subtree is the whole tree and each
-    // parent's size is 1 + the sum of its children's sizes.
-    let sizes = tree.subtree_sizes(0);
+    // Subtree-size identity, with sizes summed bottom-up over the rooted
+    // order: the root's subtree is the whole tree and each parent's size is
+    // 1 + the sum of its children's sizes.
+    let mut sizes = vec![1u32; n];
+    for &v in order.iter().rev() {
+        if v != 0 {
+            sizes[parent[v]] += sizes[v];
+        }
+    }
     assert_eq!(sizes[0] as usize, n);
     let mut child_sum = vec![0u32; n];
     for v in tree.nodes() {

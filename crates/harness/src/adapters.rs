@@ -21,7 +21,7 @@
 //! on any path-expressible table, so the resolver always prefers the
 //! specialist and falls back to the generic solver otherwise.
 
-use crate::algorithm::{Algorithm, RegionOutcome, RegionRun, RunConfig, RunRecord, SessionScope};
+use crate::algorithm::{Algorithm, RunConfig, RunRecord, SessionScope};
 use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
 use crate::planner::SolverFit;
 use lcl_algorithms::a35::a35;
@@ -51,9 +51,7 @@ use lcl_core::weighted::{WeightedColoring, WeightedOutput};
 use lcl_decidability::path_lcl::{PathClass, PathLcl};
 use lcl_graph::weighted::WeightedConstruction;
 use lcl_graph::{NodeMask, Tree};
-use lcl_local::engine::{
-    run_sync_region, run_sync_with, EngineConfig, NodeContext, Protocol, SyncOutcome,
-};
+use lcl_local::engine::{run_sync_with, EngineConfig, NodeContext, Protocol, SyncOutcome};
 use lcl_local::identifiers::Ids;
 use lcl_local::packed::PackableMessage;
 use lcl_shard::run_sharded;
@@ -259,35 +257,30 @@ where
     })
 }
 
-/// Assembles the production record from an engine-observed outcome. The
-/// record names the execution path that observed it: `"chunked"` (the
-/// monolithic engine) or `"sharded"` (the out-of-core executor) — the
-/// two are bit-identical, so the tag is telemetry, never semantics.
-fn record_outcome(
+/// Assembles the production record from an engine outcome: `labels` are
+/// its outputs in the adapter's canonical encoding, the rounds and peak
+/// arena bytes are read off `outcome`. The record names the executor that
+/// observed it (`"chunked"` or `"sharded"`) — the two are bit-identical,
+/// so the tag is telemetry, never semantics.
+fn record_outcome<O>(
     algo: &dyn Algorithm,
     instance: &Instance,
     cfg: &RunConfig,
     labels: Vec<u64>,
-    rounds: Vec<u64>,
+    outcome: &SyncOutcome<O>,
     waiting: Option<f64>,
-    peak_arena_bytes: u64,
 ) -> RunRecord {
-    let engine = if cfg.engine.shard.is_some() {
-        "sharded"
-    } else {
-        "chunked"
-    };
     RunRecord::from_rounds(
         algo.name(),
         instance.spec(),
         cfg.seed,
         labels,
-        rounds,
+        outcome.stats.as_slice().to_vec(),
         waiting,
         cfg.verify,
     )
-    .on_engine(engine)
-    .with_peak_arena_bytes(peak_arena_bytes)
+    .on_engine(cfg.engine_tag())
+    .with_peak_arena_bytes(outcome.peak_arena_bytes)
 }
 
 /// Checks an engine outcome against the structural plan it executed;
@@ -324,7 +317,7 @@ fn run_plan(
     let labels = Arc::new(labels);
     let rounds = Arc::new(rounds);
     let ids = Ids::sequential(instance.node_count());
-    let outcome = execute_protocol(
+    let mut outcome = execute_protocol(
         algo,
         instance.tree(),
         &ids,
@@ -333,15 +326,9 @@ fn run_plan(
         budget,
     )?;
     check_plan(algo, &outcome, &labels, &rounds)?;
-    let rounds = outcome.stats.as_slice().to_vec();
+    let labels = std::mem::take(&mut outcome.outputs);
     Ok(record_outcome(
-        algo,
-        instance,
-        cfg,
-        outcome.outputs,
-        rounds,
-        waiting,
-        outcome.peak_arena_bytes,
+        algo, instance, cfg, labels, &outcome, waiting,
     ))
 }
 
@@ -432,16 +419,7 @@ impl Algorithm for TwoColoring {
                 .map_err(|e| verification_error(self.name(), e))?;
         }
         let labels = outcome.outputs.iter().map(|&c| color_code(c)).collect();
-        let rounds = outcome.stats.as_slice().to_vec();
-        Ok(record_outcome(
-            self,
-            instance,
-            cfg,
-            labels,
-            rounds,
-            None,
-            outcome.peak_arena_bytes,
-        ))
+        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
     }
 }
 
@@ -492,29 +470,6 @@ impl Algorithm for LinialColoring {
         Some(linial_round_count(scope.space, 2) + 2)
     }
 
-    fn run_region(&self, region: &RegionRun<'_>) -> Option<RegionOutcome> {
-        let ids = Ids::from_vec(region.ids.to_vec());
-        let space = region.scope.space;
-        let budget = linial_round_count(space, 2) + 2;
-        let result = run_sync_region(
-            region.tree,
-            &ids,
-            |c: &NodeContext| LinialCascade::new(c.id, space, 2),
-            budget,
-            region.engine,
-            region.ambient_n,
-        )
-        .map(|o| {
-            let rounds = o.stats.as_slice().to_vec();
-            (o.outputs, rounds)
-        })
-        .map_err(|e| HarnessError::EngineDivergence {
-            algorithm: self.name().to_string(),
-            detail: format!("region run failed: {e}"),
-        });
-        Some(result)
-    }
-
     fn run(&self, instance: &Instance, cfg: &RunConfig) -> Result<RunRecord, HarnessError> {
         ensure_supported(self, instance)?;
         // Under a dynamic-session scope, ids and the cascade space are
@@ -529,7 +484,7 @@ impl Algorithm for LinialColoring {
             }
         };
         let budget = linial_round_count(space, 2) + 2;
-        let outcome = execute_protocol(
+        let mut outcome = execute_protocol(
             self,
             instance.tree(),
             &ids,
@@ -547,16 +502,8 @@ impl Algorithm for LinialColoring {
                 ));
             }
         }
-        let rounds = outcome.stats.as_slice().to_vec();
-        Ok(record_outcome(
-            self,
-            instance,
-            cfg,
-            outcome.outputs,
-            rounds,
-            None,
-            outcome.peak_arena_bytes,
-        ))
+        let labels = std::mem::take(&mut outcome.outputs);
+        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
     }
 }
 
@@ -605,30 +552,6 @@ impl Algorithm for RandomizedColoring {
         Some(RandomizedProtocol::round_budget(scope.n_hint))
     }
 
-    fn run_region(&self, region: &RegionRun<'_>) -> Option<RegionOutcome> {
-        let ids = Ids::from_vec(region.ids.to_vec());
-        let seed = region.seed;
-        let budget = RandomizedProtocol::round_budget(region.scope.n_hint.max(region.ambient_n));
-        let result = run_sync_region(
-            region.tree,
-            &ids,
-            |c: &NodeContext| RandomizedProtocol::new(seed, c.id as usize),
-            budget,
-            region.engine,
-            region.ambient_n,
-        )
-        .map(|o| {
-            let labels = o.outputs.iter().map(|&c| color_code(c)).collect();
-            let rounds = o.stats.as_slice().to_vec();
-            (labels, rounds)
-        })
-        .map_err(|e| HarnessError::EngineDivergence {
-            algorithm: self.name().to_string(),
-            detail: format!("region run failed: {e}"),
-        });
-        Some(result)
-    }
-
     fn run(&self, instance: &Instance, cfg: &RunConfig) -> Result<RunRecord, HarnessError> {
         ensure_supported(self, instance)?;
         let n = instance.node_count();
@@ -659,16 +582,7 @@ impl Algorithm for RandomizedColoring {
                 .map_err(|e| verification_error(self.name(), e))?;
         }
         let labels = outcome.outputs.iter().map(|&c| color_code(c)).collect();
-        let rounds = outcome.stats.as_slice().to_vec();
-        Ok(record_outcome(
-            self,
-            instance,
-            cfg,
-            labels,
-            rounds,
-            None,
-            outcome.peak_arena_bytes,
-        ))
+        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
     }
 }
 
@@ -1333,7 +1247,7 @@ impl Algorithm for PathLclSolver {
         let rounds = Arc::new(plan.rounds);
         let budget = plan_round_budget(&rounds);
         let (l, r) = (labels.clone(), rounds.clone());
-        let outcome = execute_protocol(
+        let mut outcome = execute_protocol(
             self,
             instance.tree(),
             &ids,
@@ -1345,16 +1259,8 @@ impl Algorithm for PathLclSolver {
             budget,
         )?;
         check_plan(self, &outcome, &labels, &rounds)?;
-        let rounds = outcome.stats.as_slice().to_vec();
-        Ok(record_outcome(
-            self,
-            instance,
-            cfg,
-            outcome.outputs,
-            rounds,
-            None,
-            outcome.peak_arena_bytes,
-        ))
+        let labels = std::mem::take(&mut outcome.outputs);
+        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
     }
 }
 

@@ -4,7 +4,6 @@ use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
 use crate::planner::SolverFit;
 use lcl_core::landscape::ComplexityClass;
 use lcl_core::problem_spec::ProblemSpec;
-use lcl_graph::Tree;
 use lcl_local::engine::EngineConfig;
 use serde::Serialize;
 use std::sync::Arc;
@@ -17,8 +16,9 @@ use std::time::Instant;
 /// protocol's trajectory depends on so that incremental region runs and
 /// from-scratch baseline runs see identical inputs:
 ///
-/// - `ids[v]` is the persistent id of current node `v` (inserted nodes get
-///   fresh ids; ids are never reused),
+/// - `ids[v]` is the persistent id of node `v` of the instance being run —
+///   the whole current tree, or one extracted region of it (inserted nodes
+///   get fresh ids; ids are never reused),
 /// - `space` is the frozen id-space bound for id-space-driven cascades
 ///   (Linial); it only grows, and growing it forces a full re-solve,
 /// - `n_hint` is the largest node count the session has ever seen — round
@@ -26,31 +26,13 @@ use std::time::Instant;
 ///   invalidate rounds reached before the shrink.
 #[derive(Debug, Clone)]
 pub struct SessionScope {
-    /// Persistent id of every current node, indexed by node id.
+    /// Persistent id of every node of the instance being run (the whole
+    /// tree, or one region), indexed by node id.
     pub ids: Arc<Vec<u64>>,
     /// Frozen id-space bound (strictly above every id ever issued).
     pub space: u64,
     /// Monotone maximum of the session's node counts.
     pub n_hint: usize,
-}
-
-/// One extracted dirty-region component handed to
-/// [`Algorithm::run_region`].
-#[derive(Debug)]
-pub struct RegionRun<'a> {
-    /// The region as a standalone tree (port order matches the ambient
-    /// tree; boundary nodes have their out-of-region ports truncated).
-    pub tree: &'a Tree,
-    /// Persistent ids of the region nodes, aligned with `tree`.
-    pub ids: &'a [u64],
-    /// Node count of the ambient tree the region was cut from.
-    pub ambient_n: usize,
-    /// The session scope the run must stay consistent with.
-    pub scope: &'a SessionScope,
-    /// Chunked-engine knobs for the region run.
-    pub engine: &'a EngineConfig,
-    /// The session's coin seed.
-    pub seed: u64,
 }
 
 /// Knobs shared by every algorithm run.
@@ -155,6 +137,17 @@ impl RunConfig {
     #[must_use]
     pub fn scale_gammas(&self, gammas: &[usize]) -> Vec<usize> {
         scale_gammas(gammas, self.gamma_multiplier)
+    }
+
+    /// The executor tag of every record run under this config:
+    /// `"sharded"` when the engine routes runs through the out-of-core
+    /// executor, `"chunked"` otherwise.
+    pub(crate) fn engine_tag(&self) -> &'static str {
+        if self.engine.shard.is_some() {
+            "sharded"
+        } else {
+            "chunked"
+        }
     }
 }
 
@@ -398,34 +391,19 @@ pub trait Algorithm: Send + Sync {
     /// The default `None` declares the solver *global*: any topology
     /// change invalidates every label and the session falls back to a full
     /// re-solve (which is still differentially checked).
+    ///
+    /// A solver that declares a radius is re-run on each extracted region
+    /// through [`run`](Algorithm::run): the region is its own instance,
+    /// and the scope's `ids` are the region's persistent ids. So its
+    /// protocol must not read
+    /// [`NodeContext::n`](lcl_local::engine::NodeContext::n), which on a
+    /// region run is the region's node count, not the tree's; a budget
+    /// that grows with the size must come from [`SessionScope::n_hint`].
     fn churn_radius(&self, scope: &SessionScope) -> Option<u64> {
         let _ = scope;
         None
     }
-
-    /// Runs the solver's protocol on one extracted dirty-region component,
-    /// returning per-node labels (in the same encoding as
-    /// [`RunRecord::labels`]) and termination rounds, aligned with
-    /// `region.tree`.
-    ///
-    /// Must be implemented by every solver whose
-    /// [`churn_radius`](Algorithm::churn_radius) is `Some`; the default
-    /// returns `None` ("no region entry"), which forces a full re-solve.
-    ///
-    /// # Errors
-    ///
-    /// Implementations surface engine failures as
-    /// [`HarnessError::EngineDivergence`]; the session treats any error as
-    /// "fall back to a full re-solve".
-    fn run_region(&self, region: &RegionRun<'_>) -> Option<RegionOutcome> {
-        let _ = region;
-        None
-    }
 }
-
-/// What [`Algorithm::run_region`] produces on success: per-node labels and
-/// termination rounds aligned with the extracted region's tree.
-pub type RegionOutcome = Result<(Vec<u64>, Vec<u64>), HarnessError>;
 
 /// Runs `algorithm` on `instance` and stamps the wall-clock time into the
 /// record. This is what [`Session`](crate::Session) workers call.

@@ -15,13 +15,13 @@
 //!   churn-surviving per-node state (persistent id, coins keyed on it).
 //!   The session marks every node within `T` of a batch-touched node as
 //!   *dirty*, extracts the components induced by the radius-`2T + 1` ball
-//!   around the touch set, re-runs the solver's protocol on each component
-//!   through the chunked engine
-//!   ([`run_region`](crate::Algorithm::run_region)), and splices the
-//!   recomputed labels and rounds back for the dirty nodes only —
-//!   corruption from the truncated region boundary needs `T + 1` rounds to
-//!   reach a dirty node, one round past its termination, so the spliced
-//!   values are *bit-identical* to a from-scratch run.
+//!   around the touch set, and runs the solver on each component as an
+//!   instance of its own through [`Algorithm::run`] — verification off,
+//!   under a [`SessionScope`] carrying the component's persistent ids. It
+//!   splices the recomputed labels and rounds back for the dirty nodes
+//!   only — corruption from the truncated region boundary needs `T + 1`
+//!   rounds to reach a dirty node, one round past its termination, so the
+//!   spliced values are *bit-identical* to a from-scratch run.
 //! - **Global solvers** (`None`) fall back to a full re-solve through
 //!   [`Algorithm::run`] under the same session
 //!   scope; the incremental and baseline paths are then literally the
@@ -39,7 +39,7 @@
 //! spec's size parameter and rebuilds, so every solver of the registry can
 //! ride the same script/driver machinery.
 
-use crate::algorithm::{run_timed, RegionRun, RunConfig, RunRecord, SessionScope};
+use crate::algorithm::{run_timed, RunConfig, RunRecord, SessionScope};
 use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
 use crate::registry::resolver;
 use crate::Algorithm;
@@ -117,8 +117,9 @@ pub struct DynamicSession {
     cfg: RunConfig,
     mode: Mode,
     tree: Tree,
-    /// Persistent id of every current node (aligned with `tree`).
-    ids: Vec<u64>,
+    /// Persistent id of every current node (aligned with `tree`); shared
+    /// with every scope handed out, and replaced wholesale by each batch.
+    ids: Arc<Vec<u64>>,
     /// Next fresh persistent id (ids are never reused).
     next_id: u64,
     /// Frozen id-space bound; only grows, and growing it forces a full
@@ -171,7 +172,7 @@ impl DynamicSession {
             cfg,
             mode,
             tree,
-            ids: (0..n0 as u64).collect(),
+            ids: Arc::new((0..n0 as u64).collect()),
             next_id: n0 as u64,
             space: (2 * n0 as u64).max(8),
             n_hint: n0,
@@ -235,12 +236,13 @@ impl DynamicSession {
         matches!(self.mode, Mode::Surgery(_)) && self.algo.churn_radius(&self.scope()).is_some()
     }
 
-    /// The frozen session scope handed to every run (incremental and
-    /// baseline alike).
+    /// The frozen session scope over the whole current tree, handed to
+    /// every full re-solve. Region runs get the same `space` and `n_hint`
+    /// with the region's own ids.
     #[must_use]
     pub fn scope(&self) -> SessionScope {
         SessionScope {
-            ids: Arc::new(self.ids.clone()),
+            ids: Arc::clone(&self.ids),
             space: self.space,
             n_hint: self.n_hint,
         }
@@ -385,7 +387,7 @@ impl DynamicSession {
         }
         let touched = result.touched;
         self.tree = result.tree;
-        self.ids = ids;
+        self.ids = Arc::new(ids);
         self.labels = labels;
         self.rounds = rounds;
         self.n_hint = self.n_hint.max(new_n);
@@ -399,47 +401,44 @@ impl DynamicSession {
             force_full = true;
         }
 
-        let scope = self.scope();
         let radius = if force_full {
             None
         } else {
-            self.algo.churn_radius(&scope)
+            self.algo.churn_radius(&self.scope())
         };
         let resolve_start = Instant::now();
-        if let Some(t) = radius {
-            if let Some((dirty, region)) = self.try_incremental(t, &touched, &scope)? {
-                let verified = if self.cfg.verify {
-                    self.verify_spliced()?;
-                    true
-                } else {
-                    false
-                };
-                let mut record = RunRecord::from_rounds(
-                    self.algo.name(),
-                    &self.current_spec(),
-                    self.cfg.seed,
-                    self.labels.clone(),
-                    self.rounds.clone(),
-                    None,
-                    verified,
-                )
-                .on_engine("chunked");
-                record.elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
-                return Ok(StepOutcome {
-                    batch: b,
-                    n: new_n,
-                    incremental: true,
-                    dirty,
-                    region,
-                    elapsed_ms: record.elapsed_ms,
-                    resolve_ms: resolve_start.elapsed().as_secs_f64() * 1_000.0,
-                    record,
-                });
-            }
+        if let Some((dirty, region)) = radius.and_then(|t| self.try_incremental(t, &touched)) {
+            let verified = if self.cfg.verify {
+                self.verify_spliced()?;
+                true
+            } else {
+                false
+            };
+            let mut record = RunRecord::from_rounds(
+                self.algo.name(),
+                &self.current_spec(),
+                self.cfg.seed,
+                self.labels.clone(),
+                self.rounds.clone(),
+                None,
+                verified,
+            )
+            .on_engine(self.cfg.engine_tag());
+            record.elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
+            return Ok(StepOutcome {
+                batch: b,
+                n: new_n,
+                incremental: true,
+                dirty,
+                region,
+                elapsed_ms: record.elapsed_ms,
+                resolve_ms: resolve_start.elapsed().as_secs_f64() * 1_000.0,
+                record,
+            });
         }
 
         // Global solver, grown id space, region covering the whole tree,
-        // or a region run that declined: full re-solve.
+        // or a failed region run: full re-solve.
         let record = self.full_resolve()?;
         self.labels.clone_from(&record.labels);
         self.rounds.clone_from(&record.rounds);
@@ -455,46 +454,39 @@ impl DynamicSession {
         })
     }
 
-    /// Attempts the dirty-region path: returns `Ok(Some((dirty, region)))`
-    /// after splicing, `Ok(None)` when a full re-solve should run instead
-    /// (region covers the whole tree, or the solver declined a region).
-    fn try_incremental(
-        &mut self,
-        t: u64,
-        touched: &[NodeId],
-        scope: &SessionScope,
-    ) -> Result<Option<(usize, usize)>, HarnessError> {
+    /// Attempts the dirty-region path: returns `Some((dirty, region))`
+    /// after splicing, `None` when a full re-solve should run instead
+    /// (region covers the whole tree, or a region run failed).
+    fn try_incremental(&mut self, t: u64, touched: &[NodeId]) -> Option<(usize, usize)> {
         let n = self.tree.node_count();
         let dist = self.tree.multi_source_distances(touched);
         let reach = t.saturating_mul(2).saturating_add(1);
         let region: Vec<NodeId> = (0..n).filter(|&v| u64::from(dist[v]) <= reach).collect();
         if region.len() >= n {
-            return Ok(None);
+            return None;
         }
+        let mut cfg = self.cfg.clone().without_verify();
         let mut patch: Vec<(NodeId, u64, u64)> = Vec::new();
         for comp in extract_components(&self.tree, &region) {
-            let comp_ids: Vec<u64> = comp.nodes.iter().map(|&v| self.ids[v]).collect();
-            let run = RegionRun {
-                tree: &comp.tree,
-                ids: &comp_ids,
-                ambient_n: n,
-                scope,
-                engine: &self.cfg.engine,
-                seed: self.cfg.seed,
+            let spec = InstanceSpec::Churned {
+                base: Box::new(self.base.clone()),
+                batch: self.batch,
+                n: comp.nodes.len(),
             };
-            match self.algo.run_region(&run) {
-                Some(Ok((labels, rounds)))
-                    if labels.len() == comp.nodes.len() && rounds.len() == comp.nodes.len() =>
-                {
-                    for (i, &v) in comp.nodes.iter().enumerate() {
-                        if u64::from(dist[v]) <= t {
-                            patch.push((v, labels[i], rounds[i]));
-                        }
-                    }
+            cfg.scope = Some(SessionScope {
+                ids: Arc::new(comp.nodes.iter().map(|&v| self.ids[v]).collect()),
+                space: self.space,
+                n_hint: self.n_hint,
+            });
+            // On any error the full re-solve is still a correct answer.
+            let record = self
+                .algo
+                .run(&Instance::from_tree(spec, comp.tree), &cfg)
+                .ok()?;
+            for (i, &v) in comp.nodes.iter().enumerate() {
+                if u64::from(dist[v]) <= t {
+                    patch.push((v, record.labels[i], record.rounds[i]));
                 }
-                // No region entry, a shape mismatch, or an engine error:
-                // the full re-solve is always a correct answer.
-                _ => return Ok(None),
             }
         }
         let dirty = patch.len();
@@ -502,7 +494,7 @@ impl DynamicSession {
             self.labels[v] = label;
             self.rounds[v] = round;
         }
-        Ok(Some((dirty, region.len())))
+        Some((dirty, region.len()))
     }
 
     /// Checks the spliced labeling against the constraints every local

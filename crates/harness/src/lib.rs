@@ -73,9 +73,7 @@ pub mod registry;
 pub mod session;
 
 pub use adapters::{run_on_construction, WeightedRegime};
-pub use algorithm::{
-    run_timed, Algorithm, RegionRun, RoundBin, RunConfig, RunRecord, SessionScope,
-};
+pub use algorithm::{run_timed, Algorithm, RoundBin, RunConfig, RunRecord, SessionScope};
 pub use cache::CacheStats;
 pub use dynamic::{DynamicSession, StepOutcome};
 // Engine tuning travels inside `RunConfig`; re-exported so harness

@@ -19,7 +19,7 @@ use lcl_graph::generators::{
     broom, caterpillar, complete_ary_tree, heavy_path_skewed, ladder, spider,
 };
 use lcl_harness::{resolver, DynamicSession, InstanceSpec, RunConfig};
-use lcl_local::engine::EngineConfig;
+use lcl_local::engine::{EngineConfig, ShardConfig};
 
 /// The preset mixes, trimmed to a volume the full sweep can afford.
 fn scripts() -> Vec<ChurnScript> {
@@ -235,6 +235,52 @@ fn local_solvers_actually_splice() {
                 assert!(out.region < out.n, "{name}: region must be strict");
                 spliced += 1;
             }
+        }
+        assert!(spliced > 0, "{name}: no batch took the incremental path");
+    }
+}
+
+#[test]
+fn sharded_sessions_match_monolithic_ones_and_say_so() {
+    // Region runs execute on the engine the config selects, like full
+    // re-solves: under a shard config every step, incremental or not,
+    // runs on the out-of-core executor, matches the same session on the
+    // monolithic engine batch by batch, and its record says "sharded".
+    let engine = |shard| EngineConfig {
+        chunk_size: 16,
+        threads: 1,
+        check_arena: true,
+        shard,
+    };
+    let sharded = ShardConfig {
+        shards: 2,
+        max_resident: 1,
+        packing: false,
+    };
+    for name in ["linial", "randomized"] {
+        let script = ChurnScript::preset("prune-regrow")
+            .expect("preset exists")
+            .with_volume(2, 10);
+        let open = |shard| {
+            let cfg = RunConfig::seeded(1).with_engine(engine(shard));
+            DynamicSession::new(name, base_spec(name), script.clone(), cfg).expect("session opens")
+        };
+        let mut session = open(Some(sharded.clone()));
+        let mut monolithic = open(None);
+        let mut spliced = 0usize;
+        while session.batches_remaining() > 0 {
+            let out = session.step().expect("sharded step");
+            let expected = monolithic.step().expect("monolithic step");
+            let ctx = format!(
+                "{name} batch {} (incremental={})",
+                out.batch, out.incremental
+            );
+            assert_eq!(session.labels(), monolithic.labels(), "{ctx}: labels");
+            assert_eq!(session.rounds(), monolithic.rounds(), "{ctx}: rounds");
+            assert_eq!(out.incremental, expected.incremental, "{ctx}: path taken");
+            assert_eq!(out.record.engine, "sharded", "{ctx}: engine tag");
+            assert_eq!(expected.record.engine, "chunked", "{ctx}: engine tag");
+            spliced += usize::from(out.incremental);
         }
         assert!(spliced > 0, "{name}: no batch took the incremental path");
     }

@@ -1347,43 +1347,7 @@ where
     P: Protocol,
     F: FnMut(&NodeContext) -> P,
 {
-    run_sync_region(tree, ids, factory, max_rounds, config, tree.node_count())
-}
-
-/// [`run_sync_with`] on an extracted *dirty region* of a larger ambient
-/// tree: nodes see `ambient_n` as the network size in their
-/// [`NodeContext`], while topology, ids, scheduling, and buffers all come
-/// from the (small) region tree.
-///
-/// This is the dirty-region entry point for incremental re-solving: after
-/// tree surgery, a dynamic session extracts the churn-adjacent component,
-/// re-runs the protocol here, and splices the fresh labels over the
-/// preserved ones. Nothing else differs from [`run_sync_with`] — in
-/// particular the outcome is bit-identical across chunk sizes and thread
-/// counts, so the differential guarantees carry over to region runs.
-///
-/// # Errors
-///
-/// Returns [`RunError::RoundLimitExceeded`] if any node is still running
-/// after `max_rounds` rounds.
-///
-/// # Panics
-///
-/// Panics if `ids` does not cover all region nodes, or if a worker thread
-/// panics (protocol panics propagate).
-pub fn run_sync_region<P, F>(
-    tree: &Tree,
-    ids: &Ids,
-    factory: F,
-    max_rounds: u64,
-    config: &EngineConfig,
-    ambient_n: usize,
-) -> Result<SyncOutcome<P::Output>, RunError>
-where
-    P: Protocol,
-    F: FnMut(&NodeContext) -> P,
-{
-    run_with_store(tree, ids, factory, max_rounds, config, ambient_n, |setup| {
+    run_with_store(tree, ids, factory, max_rounds, config, |setup| {
         let slots = setup.csr.adjacency.len();
         Ok(SlotStore {
             arenas: [vec![None; slots], vec![None; slots]],
@@ -1393,7 +1357,6 @@ where
 }
 
 /// The round loop, over the message store `store` builds at run start.
-/// Nodes see `ambient_n` as the network size.
 ///
 /// Every executed round runs each pass that has a mailed or due chunk.
 /// A pass that examines fewer than `AUTO_PARALLEL_MIN_NODES` (16,384)
@@ -1419,7 +1382,6 @@ pub fn run_with_store<P, F, S>(
     mut factory: F,
     max_rounds: u64,
     config: &EngineConfig,
-    ambient_n: usize,
     store: impl FnOnce(&StoreSetup<'_, P>) -> Result<S, S::Error>,
 ) -> Result<SyncOutcome<P::Output>, S::Error>
 where
@@ -1441,7 +1403,7 @@ where
             node: v,
             id: ids.id(v),
             degree: tree.degree(v),
-            n: ambient_n,
+            n,
         })
         .collect();
     let mut machines: Vec<Option<P>> = contexts.iter().map(|c| Some(factory(c))).collect();

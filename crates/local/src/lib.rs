@@ -63,8 +63,8 @@ pub mod reference_engine;
 pub mod view;
 
 pub use engine::{
-    run_sync, run_sync_region, run_sync_with, EngineConfig, Inbox, NodeContext, Outbox, Protocol,
-    RunError, ShardConfig, SyncOutcome,
+    run_sync, run_sync_with, EngineConfig, Inbox, NodeContext, Outbox, Protocol, RunError,
+    ShardConfig, SyncOutcome,
 };
 pub use identifiers::Ids;
 pub use metrics::RoundStats;

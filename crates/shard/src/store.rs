@@ -545,13 +545,7 @@ where
     F: FnMut(&NodeContext) -> P,
 {
     let shard = config.shard.clone().unwrap_or_default();
-    run_with_store(
-        tree,
-        ids,
-        factory,
-        max_rounds,
-        config,
-        tree.node_count(),
-        |setup| PackedStore::new(setup, &shard),
-    )
+    run_with_store(tree, ids, factory, max_rounds, config, |setup| {
+        PackedStore::new(setup, &shard)
+    })
 }
