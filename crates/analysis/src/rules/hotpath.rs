@@ -10,7 +10,7 @@
 //!
 //! Hot functions are the entries of `HOT_FNS` — the round loop's
 //! per-round and per-node steps (pass load, region split, chunk and node
-//! visits, mail logs), each message store's per-node read and write, the
+//! visits, the per-visit node context, mail logs), each message store's per-node read and write, the
 //! halo capture, and the `Inbox`/`InboxIter`/`Outbox` message views —
 //! plus every method of a `Protocol` impl under
 //! `crates/algorithms/src/protocols/`.
@@ -31,12 +31,13 @@ const PROTOCOLS_DIR: &str = "crates/algorithms/src/protocols/";
 const HOT_FNS: &[(&str, &str)] = &[
     // The round loop's per-round and per-node steps: the pass load that
     // picks inline or fan-out, the region split, the chunk visit, the
-    // node visit shared by full scans and frontier visits, and the mail
-    // logs the frontier is merged from.
+    // node visit shared by full scans and frontier visits, the context
+    // each visit builds, and the mail logs the frontier is merged from.
     (ENGINE_FILE, "pass_load"),
     (ENGINE_FILE, "split_regions"),
     (ENGINE_FILE, "step_region"),
     (ENGINE_FILE, "visit_node"),
+    (ENGINE_FILE, "node_context"),
     (ENGINE_FILE, "MailLog::*"),
     // The message views every step reads and writes through.
     (ENGINE_FILE, "Inbox::*"),

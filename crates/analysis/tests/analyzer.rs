@@ -45,6 +45,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
             ("LCL-A01", "crates/local/src/engine.rs", 17),
             ("LCL-A04", "crates/local/src/engine.rs", 23),
             ("LCL-A01", "crates/local/src/engine.rs", 29),
+            ("LCL-A01", "crates/local/src/engine.rs", 34),
         ],
         "{}",
         report.human()
@@ -55,6 +56,7 @@ fn hotpath_fixture_triggers_exact_rules_and_spans() {
     assert_eq!(report.findings[5].item, "Inbox::gather");
     assert_eq!(report.findings[6].item, "SlotRegion::commit");
     assert_eq!(report.findings[7].item, "MailLog::log");
+    assert_eq!(report.findings[8].item, "node_context");
     // The `#[cfg(test)]` allocation in the protocol fixture is not
     // reported: hot-path rules skip test code.
     assert_eq!(report.files_scanned, 2);

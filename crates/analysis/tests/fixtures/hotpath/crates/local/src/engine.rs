@@ -29,3 +29,7 @@ impl MailLog {
         self.overflow.push(node); // line 29: LCL-A01 (allocation in a mail log)
     }
 }
+
+fn node_context(ids: &[u64], v: usize) -> u64 {
+    ids.to_vec()[v] // line 34: LCL-A01 (allocation in the per-visit context)
+}

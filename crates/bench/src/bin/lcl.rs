@@ -10,7 +10,9 @@
 //! lcl run <algo> [--n N] [--seed S] [--k K] [--d D] [--gamma-mult M]
 //!         [--chunk-size C] [--engine-threads T] [--check-arena]
 //!         [--shards S] [--max-resident R] [--packing]
-//!         [--no-verify] [--json]    one seeded run via the registry
+//!         [--no-verify] [--json]    one seeded run via the registry,
+//!                                   with its arena and the process's
+//!                                   peak RSS in MiB
 //!                                   (always on the chunked engine;
 //!                                   --check-arena turns on the runtime
 //!                                   arena write-discipline checker;
@@ -59,6 +61,7 @@
 //! ```
 
 use lcl_bench::figures::{figure_names, run_figure, FigureOpts};
+use lcl_bench::measure::peak_rss_mib;
 use lcl_bench::report::{f1, f3, save_json, Table};
 use lcl_core::problem_spec::ProblemSpec;
 use lcl_harness::{
@@ -426,6 +429,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "waiting-avg",
             "verified",
             "ms",
+            "arena MiB",
+            "peak RSS MiB",
         ],
     );
     table.row(&[
@@ -436,6 +441,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         f3(record.waiting_averaged),
         record.verified.to_string(),
         f1(record.elapsed_ms),
+        f1(record.peak_arena_bytes as f64 / f64::from(1 << 20)),
+        peak_rss_mib().map_or_else(|| "-".to_string(), f1),
     ]);
     table.print();
     if flags.switch("--json") {

@@ -77,6 +77,27 @@ pub fn log_star_power(n: usize, e: f64) -> f64 {
     (log_star(n as u64) as f64).powf(e)
 }
 
+/// Peak resident set size of this process so far, in MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that is unreadable (e.g. off
+/// Linux).
+#[must_use]
+pub fn peak_rss_mib() -> Option<f64> {
+    vm_hwm_mib(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM:` line of a `/proc/<pid>/status` text, in MiB.
+fn vm_hwm_mib(status: &str) -> Option<f64> {
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim_end()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +124,14 @@ mod tests {
         );
         assert!(thm11.node_averaged > 0.0);
         assert!(thm11.n >= 2_000);
+    }
+
+    #[test]
+    fn vm_hwm_parses_kib_and_rejects_the_rest() {
+        let status = "Name:\tlcl\nVmPeak:\t  300000 kB\nVmHWM:\t   92160 kB\n";
+        assert_eq!(vm_hwm_mib(status), Some(90.0));
+        assert_eq!(vm_hwm_mib("Name:\tlcl\n"), None);
+        assert_eq!(vm_hwm_mib("VmHWM:\t many kB\n"), None);
     }
 
     #[test]

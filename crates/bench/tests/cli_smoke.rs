@@ -242,3 +242,16 @@ fn perfgate_without_baseline_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("BENCH_sweep.json"), "stderr: {stderr}");
 }
+
+#[test]
+fn run_reports_arena_and_peak_rss() {
+    let output = lcl(&["run", "randomized", "--n", "2000", "--no-verify"]);
+    assert!(output.status.success(), "lcl run failed: {output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    for header in ["arena MiB", "peak RSS MiB"] {
+        assert!(
+            stdout.contains(header),
+            "lcl run lacks `{header}`: {stdout}"
+        );
+    }
+}

@@ -258,16 +258,16 @@ where
 }
 
 /// Assembles the production record from an engine outcome: `labels` are
-/// its outputs in the adapter's canonical encoding, the rounds and peak
-/// arena bytes are read off `outcome`. The record names the executor that
-/// observed it (`"chunked"` or `"sharded"`) — the two are bit-identical,
-/// so the tag is telemetry, never semantics.
+/// its outputs in the adapter's canonical encoding, the rounds move out of
+/// `outcome` and its peak arena bytes are read off it. The record names
+/// the executor that observed it (`"chunked"` or `"sharded"`) — the two
+/// are bit-identical, so the tag is telemetry, never semantics.
 fn record_outcome<O>(
     algo: &dyn Algorithm,
     instance: &Instance,
     cfg: &RunConfig,
     labels: Vec<u64>,
-    outcome: &SyncOutcome<O>,
+    outcome: SyncOutcome<O>,
     waiting: Option<f64>,
 ) -> RunRecord {
     RunRecord::from_rounds(
@@ -275,7 +275,7 @@ fn record_outcome<O>(
         instance.spec(),
         cfg.seed,
         labels,
-        outcome.stats.as_slice().to_vec(),
+        outcome.stats.into_vec(),
         waiting,
         cfg.verify,
     )
@@ -328,7 +328,7 @@ fn run_plan(
     check_plan(algo, &outcome, &labels, &rounds)?;
     let labels = std::mem::take(&mut outcome.outputs);
     Ok(record_outcome(
-        algo, instance, cfg, labels, &outcome, waiting,
+        algo, instance, cfg, labels, outcome, waiting,
     ))
 }
 
@@ -419,7 +419,7 @@ impl Algorithm for TwoColoring {
                 .map_err(|e| verification_error(self.name(), e))?;
         }
         let labels = outcome.outputs.iter().map(|&c| color_code(c)).collect();
-        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
+        Ok(record_outcome(self, instance, cfg, labels, outcome, None))
     }
 }
 
@@ -503,7 +503,7 @@ impl Algorithm for LinialColoring {
             }
         }
         let labels = std::mem::take(&mut outcome.outputs);
-        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
+        Ok(record_outcome(self, instance, cfg, labels, outcome, None))
     }
 }
 
@@ -582,7 +582,7 @@ impl Algorithm for RandomizedColoring {
                 .map_err(|e| verification_error(self.name(), e))?;
         }
         let labels = outcome.outputs.iter().map(|&c| color_code(c)).collect();
-        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
+        Ok(record_outcome(self, instance, cfg, labels, outcome, None))
     }
 }
 
@@ -1260,7 +1260,7 @@ impl Algorithm for PathLclSolver {
         )?;
         check_plan(self, &outcome, &labels, &rounds)?;
         let labels = std::mem::take(&mut outcome.outputs);
-        Ok(record_outcome(self, instance, cfg, labels, &outcome, None))
+        Ok(record_outcome(self, instance, cfg, labels, outcome, None))
     }
 }
 

@@ -505,15 +505,20 @@ impl DynamicSession {
             algorithm: self.algo.name().to_string(),
             violation,
         };
-        let mut palette = std::collections::BTreeSet::new();
+        // Distinct colors in order of first use; the scan stops at the
+        // fourth, which already rejects the labeling.
+        let mut palette = [0u64; 4];
+        let mut colors = 0;
         for &l in &self.labels {
-            palette.insert(l);
-        }
-        if palette.len() > 3 {
-            return Err(fail(format!(
-                "spliced labeling uses {} colors (expected at most 3)",
-                palette.len()
-            )));
+            if !palette[..colors].contains(&l) {
+                palette[colors] = l;
+                colors += 1;
+                if colors == palette.len() {
+                    return Err(fail(format!(
+                        "spliced labeling uses more than 3 colors (first four: {palette:?})"
+                    )));
+                }
+            }
         }
         for v in 0..self.tree.node_count() {
             for &w in self.tree.neighbors(v) {
@@ -571,6 +576,51 @@ mod tests {
             assert_eq!(baseline.rounds, session.rounds(), "rounds diverged");
         }
         assert!(session.step().is_err(), "script is exhausted");
+    }
+
+    /// A local-solver session whose labels the caller may corrupt.
+    fn linial_session() -> DynamicSession {
+        let s = script(ChurnMix::new(1, 1, 0), 1, 4);
+        DynamicSession::new(
+            "linial",
+            InstanceSpec::Path { n: 40 },
+            s,
+            RunConfig::seeded(5),
+        )
+        .expect("session opens")
+    }
+
+    fn violation(session: &DynamicSession) -> String {
+        match session.verify_spliced() {
+            Err(HarnessError::VerificationFailed { violation, .. }) => violation,
+            other => panic!("expected a verification failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn verify_spliced_rejects_a_fourth_color() {
+        let mut session = linial_session();
+        // A proper coloring of the path, but with four colors.
+        for (v, l) in session.labels.iter_mut().enumerate() {
+            *l = v as u64 % 4;
+        }
+        let violation = violation(&session);
+        assert!(violation.contains("more than 3 colors"), "{violation}");
+        assert!(violation.contains("[0, 1, 2, 3]"), "{violation}");
+    }
+
+    #[test]
+    fn verify_spliced_rejects_a_monochromatic_edge() {
+        let mut session = linial_session();
+        // Two colors, alternating except on the one edge (20, 21).
+        for (v, l) in session.labels.iter_mut().enumerate() {
+            *l = (v as u64 + u64::from(v > 20)) % 2;
+        }
+        let violation = violation(&session);
+        assert!(
+            violation.contains("edge (20, 21) is monochromatic"),
+            "{violation}"
+        );
     }
 
     #[test]

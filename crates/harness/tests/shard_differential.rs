@@ -15,10 +15,22 @@
 //! The grid literals double as ground truth for the analyzer's `LCL-X05`
 //! crosscheck: every `ShardConfig` knob (`shards`, `max_resident`,
 //! `packing`) must stay exercised here.
+//!
+//! A context probe closes the file: a protocol that checks every
+//! `NodeContext` an executor hands it (factory, `step`, `next_wake`,
+//! `message_bits`) against the tree and ids of the run, under the
+//! monolithic engine, the packed store and the reference engine.
 
 use lcl_core::problem_spec::ProblemSpec;
+use lcl_graph::generators::{path, random_bounded_degree_tree};
+use lcl_graph::Tree;
 use lcl_harness::{resolver, Algorithm, InstanceSpec, RunConfig, RunRecord};
-use lcl_local::engine::{EngineConfig, ShardConfig};
+use lcl_local::engine::{
+    run_sync_with, EngineConfig, Inbox, NodeContext, Outbox, Protocol, ShardConfig,
+};
+use lcl_local::identifiers::Ids;
+use lcl_local::reference_engine::run_reference;
+use lcl_shard::run_sharded;
 
 /// Small enough that shard differentials stay fast, small enough relative
 /// to the specs below that every shard count in the grid yields several
@@ -283,4 +295,155 @@ fn spilling_is_actually_exercised() {
     );
     assert_eq!(spilled.labels, all.labels);
     assert_eq!(spilled.rounds, all.rounds);
+}
+
+/// Rounds in which every due node sends: busy rounds, after which mailed
+/// chunks are scanned in full.
+const PROBE_OPENING: u64 = 6;
+/// Nodes with `id % PROBE_RARE == 0` keep sending after the opening; the
+/// rest sleep until they terminate, so late rounds send few enough
+/// messages that the engine steps their recipients alone.
+const PROBE_RARE: u64 = 1000;
+
+/// Asserts that `ctx` describes node `ctx.node` of `tree` under `ids`.
+fn assert_context(tree: &Tree, ids: &Ids, ctx: &NodeContext) {
+    let v = ctx.node;
+    assert_eq!(ctx.id, ids.id(v), "id of node {v}");
+    assert_eq!(ctx.degree, tree.degree(v), "degree of node {v}");
+    assert_eq!(ctx.n, tree.node_count(), "n seen by node {v}");
+}
+
+/// Checks its context at every call an executor makes. Sends on some of
+/// its ports when due, absorbs mail that arrives while it sleeps on its
+/// wake hint, and outputs a digest of what it heard; so nodes are reached
+/// by full scans, by mail and by frontier visits.
+struct ContextProbe<'a> {
+    tree: &'a Tree,
+    ids: &'a Ids,
+    /// The next round in which the node acts without mail.
+    wake: u64,
+    /// The round in which the node terminates.
+    end: u64,
+    /// Order-independent digest of the messages received.
+    heard: u64,
+}
+
+impl Protocol for ContextProbe<'_> {
+    type Message = u64;
+    type Output = u64;
+
+    fn step(
+        &mut self,
+        ctx: &NodeContext,
+        round: u64,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<'_, u64>,
+    ) -> Option<u64> {
+        assert_context(self.tree, self.ids, ctx);
+        for (port, &m) in inbox.iter() {
+            self.heard = self.heard.wrapping_add(m.wrapping_mul(port as u64 + 1));
+        }
+        if round < self.wake {
+            return None;
+        }
+        if round >= self.end {
+            return Some(self.heard ^ ctx.id);
+        }
+        let rare = ctx.id.is_multiple_of(PROBE_RARE);
+        if round < PROBE_OPENING || rare {
+            for port in 0..ctx.degree {
+                if !(ctx.id + round + port as u64).is_multiple_of(3) {
+                    outbox.send(port, (ctx.id + round) % (1 << 16));
+                }
+            }
+        }
+        self.wake = if round + 1 < PROBE_OPENING {
+            round + 1 + ctx.id % 3
+        } else if rare {
+            round + 2 + (ctx.id / PROBE_RARE) % 3
+        } else {
+            self.end
+        };
+        None
+    }
+
+    fn next_wake(&self, ctx: &NodeContext, _now: u64) -> u64 {
+        assert_context(self.tree, self.ids, ctx);
+        self.wake
+    }
+
+    fn message_bits(&self, ctx: &NodeContext) -> Option<u32> {
+        assert_context(self.tree, self.ids, ctx);
+        Some(16)
+    }
+}
+
+/// Runs the probe on `tree` under every executor and demands the
+/// reference engine's outputs and rounds from each.
+fn probe_every_executor(tree: &Tree, seed: u64) {
+    let n = tree.node_count();
+    let ids = Ids::random(n, seed);
+    let factory = |ctx: &NodeContext| {
+        assert_context(tree, &ids, ctx);
+        ContextProbe {
+            tree,
+            ids: &ids,
+            wake: ctx.id % 3,
+            end: 40 + ctx.id % 5,
+            heard: 0,
+        }
+    };
+    let budget = 64;
+    let reference = run_reference(tree, &ids, factory, budget).expect("reference run");
+    let mut configs = Vec::new();
+    for chunk_size in [1, 64, 0] {
+        for threads in [1, 2] {
+            configs.push(EngineConfig {
+                chunk_size,
+                threads,
+                check_arena: false,
+                shard: None,
+            });
+        }
+    }
+    for max_resident in [1, 0] {
+        configs.push(EngineConfig {
+            chunk_size: 64,
+            threads: 2,
+            check_arena: false,
+            shard: Some(ShardConfig {
+                shards: 4,
+                max_resident,
+                packing: true,
+            }),
+        });
+    }
+    for cfg in configs {
+        let ctx = format!("n {n} {cfg:?}");
+        let outcome = if cfg.shard.is_some() {
+            run_sharded(tree, &ids, factory, budget, &cfg).expect(&ctx)
+        } else {
+            run_sync_with(tree, &ids, factory, budget, &cfg).expect(&ctx)
+        };
+        assert_eq!(outcome.outputs, reference.outputs, "{ctx}: outputs");
+        assert_eq!(
+            outcome.stats.as_slice(),
+            reference.stats.as_slice(),
+            "{ctx}: rounds"
+        );
+    }
+}
+
+#[test]
+fn context_probe_inline_runs() {
+    probe_every_executor(&path(300), 1);
+    probe_every_executor(&random_bounded_degree_tree(300, 4, 2), 3);
+}
+
+#[test]
+fn context_probe_fan_out_runs() {
+    // Above the engine's 16,384-node inline bound, so a pass that scans
+    // every node is split across worker threads.
+    probe_every_executor(&path(20_000), 4);
+    probe_every_executor(&random_bounded_degree_tree(20_000, 4, 5), 6);
 }

@@ -46,6 +46,15 @@
 //!   `O(recipients)` per round, not `O(chunk)` or `O(n)`. When a round
 //!   ends with no messages in flight the engine fast-forwards to the
 //!   earliest wake instead of idling round by round.
+//! - **Per-node state is what a run needs, freed before the result.** A
+//!   [`NodeContext`] is a value built per factory call, step and hint by
+//!   [`node_context`] from the CSR offsets, the ids and `n`; no per-node
+//!   context array exists. The run's working set is the message store,
+//!   the machines, the per-node wakes, the per-chunk wakes and mail
+//!   flags, the reverse-edge permutation and (when on) the arena checker.
+//!   It is dropped once the last node terminates, and only then are the
+//!   outputs flattened and the `u32` rounds widened to `u64`, so those
+//!   copies never add to the run's peak memory.
 //!
 //! # One round loop, two stores
 //!
@@ -84,6 +93,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 type ArenaSlot<M> = Option<(u32, M)>;
 
 /// Static per-node information visible to a protocol.
+///
+/// A value, not a view into a per-node array: the chunked engine builds it
+/// with [`node_context`] for each factory call, step and hint, from the
+/// tree's CSR offsets, the id assignment and `n`, and stores none.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeContext {
     /// The node's index (for harness bookkeeping; protocols should treat it
@@ -95,6 +108,20 @@ pub struct NodeContext {
     pub degree: usize,
     /// The number of nodes in the graph; LOCAL algorithms know `n`.
     pub n: usize,
+}
+
+/// The context of node `v` in a graph of `n` nodes whose CSR offsets are
+/// `offsets` ([`Tree::offsets`]): its id from `ids`, and its degree
+/// `offsets[v + 1] - offsets[v]`.
+#[inline]
+#[must_use]
+pub fn node_context(offsets: &[u32], ids: &Ids, n: usize, v: NodeId) -> NodeContext {
+    NodeContext {
+        node: v,
+        id: ids.id(v),
+        degree: (offsets[v + 1] - offsets[v]) as usize,
+        n,
+    }
 }
 
 /// A read-only view of the messages a node received this round.
@@ -798,14 +825,17 @@ pub struct Csr<'a> {
 
 /// What a [`MessageStore`] is built from at run start. The machines
 /// already exist, so a store may size itself from per-node hints
-/// ([`Protocol::message_bits`]).
+/// ([`Protocol::message_bits`]), asking each with the context
+/// [`node_context`] builds from `csr.offsets`, `ids` and `n`.
 pub struct StoreSetup<'a, P> {
     /// The tree being run.
     pub tree: &'a Tree,
     /// Its slot geometry.
     pub csr: Csr<'a>,
-    /// Every node's context.
-    pub contexts: &'a [NodeContext],
+    /// Every node's identifier.
+    pub ids: &'a Ids,
+    /// The number of nodes.
+    pub n: usize,
     /// Every node's freshly built machine.
     pub machines: &'a [Option<P>],
     /// Resolved chunk size.
@@ -977,7 +1007,10 @@ impl<M: Clone + Send + Sync> StoreRegion<M> for SlotRegion<'_, M> {
 /// round.
 struct RoundShared<'a> {
     csr: Csr<'a>,
-    contexts: &'a [NodeContext],
+    /// With `csr.offsets` and `n`, what a step's [`NodeContext`] is
+    /// built from.
+    ids: &'a Ids,
+    n: usize,
     chunk_size: usize,
     /// Mail flags consumed this round (set by last round's senders).
     /// Indexed by global chunk; each flag is cleared by the chunk's owner.
@@ -1166,7 +1199,7 @@ where
     tally.visits += 1;
     let v = region.start + i;
     let base = shared.csr.offsets[v] as usize;
-    let ctx = &shared.contexts[v];
+    let ctx = &node_context(shared.csr.offsets, shared.ids, shared.n, v);
     let due = region.wakes[i] <= round;
     if !(due || mail) || !region.store.stage(base, ctx.degree, due) {
         return region.wakes[i];
@@ -1351,7 +1384,7 @@ where
         let slots = setup.csr.adjacency.len();
         Ok(SlotStore {
             arenas: [vec![None; slots], vec![None; slots]],
-            passes: [0, setup.contexts.len()],
+            passes: [0, setup.machines.len()],
         })
     })
 }
@@ -1397,22 +1430,16 @@ where
         adjacency: tree.adjacency(),
         rev: &rev,
     };
-    let contexts: Vec<NodeContext> = tree
-        .nodes()
-        .map(|v| NodeContext {
-            node: v,
-            id: ids.id(v),
-            degree: tree.degree(v),
-            n,
-        })
+    let mut machines: Vec<Option<P>> = (0..n)
+        .map(|v| Some(factory(&node_context(csr.offsets, ids, n, v))))
         .collect();
-    let mut machines: Vec<Option<P>> = contexts.iter().map(|c| Some(factory(c))).collect();
     let chunk_size = config.resolved_chunk_size();
     let workers = config.resolved_threads(n);
     let mut store = store(&StoreSetup {
         tree,
         csr,
-        contexts: &contexts,
+        ids,
+        n,
         machines: &machines,
         chunk_size,
         workers,
@@ -1476,7 +1503,8 @@ where
         };
         let shared = RoundShared {
             csr,
-            contexts: &contexts,
+            ids,
+            n,
             chunk_size,
             mail_now,
             mail_next,
@@ -1562,6 +1590,19 @@ where
         }
     }
 
+    // Free the working set first, so the flattened outputs and the widened
+    // rounds are never resident beside it.
+    let peak_arena_bytes = store.peak_bytes();
+    drop((
+        store,
+        machines,
+        wakes,
+        chunk_wakes,
+        mail_a,
+        mail_b,
+        checker,
+        rev,
+    ));
     let outputs: Vec<P::Output> = outputs.into_iter().flatten().collect();
     assert_eq!(
         outputs.len(),
@@ -1575,7 +1616,7 @@ where
         stats: RoundStats::new(rounds.into_iter().map(u64::from).collect()),
         profile,
         messages,
-        peak_arena_bytes: store.peak_bytes(),
+        peak_arena_bytes,
         node_visits,
     })
 }

@@ -89,6 +89,13 @@ impl<'a> RoundStats<'a> {
         &self.rounds
     }
 
+    /// The per-node rounds as a vector: moved out when owned (no copy),
+    /// copied when borrowed.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<u64> {
+        self.rounds.into_owned()
+    }
+
     /// Total rounds summed over nodes, `Σ_v T_v`.
     #[must_use]
     pub fn total(&self) -> u128 {

@@ -38,8 +38,8 @@ use crate::partition::{ShardInfo, ShardPlan};
 use crate::pool::SpillPool;
 use lcl_graph::Tree;
 use lcl_local::engine::{
-    run_with_store, Csr, EngineConfig, Inbox, MessageStore, NodeContext, Outbox, Protocol,
-    RunError, ShardConfig, StoreRegion, StoreSetup, SyncOutcome,
+    node_context, run_with_store, Csr, EngineConfig, Inbox, MessageStore, NodeContext, Outbox,
+    Protocol, RunError, ShardConfig, StoreRegion, StoreSetup, SyncOutcome,
 };
 use lcl_local::identifiers::Ids;
 use lcl_local::packed::PackableMessage;
@@ -188,11 +188,16 @@ impl<M: PackableMessage> PackedStore<M> {
             "PackableMessage ceilings are capped at 128 bits"
         );
         let hinted = if config.packing {
+            let offsets = setup.csr.offsets;
             setup
                 .machines
                 .iter()
-                .zip(setup.contexts)
-                .map(|(m, ctx)| m.as_ref().and_then(|machine| machine.message_bits(ctx)))
+                .enumerate()
+                .map(|(v, m)| {
+                    m.as_ref().and_then(|machine| {
+                        machine.message_bits(&node_context(offsets, setup.ids, setup.n, v))
+                    })
+                })
                 .try_fold(0u32, |max, bits| bits.map(|b| max.max(b)))
         } else {
             None
@@ -230,7 +235,7 @@ impl<M: PackableMessage> PackedStore<M> {
         } else {
             None
         };
-        let chunk_count = setup.contexts.len().div_ceil(chunk_size);
+        let chunk_count = setup.machines.len().div_ceil(chunk_size);
         let max_degree = setup.tree.max_degree();
         Ok(PackedStore {
             chunk_size,
