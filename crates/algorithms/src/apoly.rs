@@ -44,8 +44,10 @@ pub fn apoly(
     run_weighted(tree, kinds, k, d, gammas, ids, Variant::TwoHalf)
 }
 
-/// Shared skeleton of `A_poly` (2½) and the `log*`-regime variant that
-/// reuses algorithm `A` for the weight side.
+/// The body of [`apoly`], with the active side's coloring variant as a
+/// parameter. Its only caller is [`apoly`], which passes
+/// `Variant::TwoHalf`; [`a35`](crate::a35::a35) keeps its own copy of
+/// this skeleton, with `fast_dfree` on the weight side.
 pub(crate) fn run_weighted(
     tree: &Tree,
     kinds: &[NodeKind],

@@ -225,8 +225,8 @@ mod tests {
         // (linear) to k = 2 (≈ √n).
         let n = 2_500;
         let t = path(n);
-        let k1 = solve_and_verify(&t, 1).run.stats().worst_case();
-        let k2 = solve_and_verify(&t, 2).run.stats().worst_case();
+        let k1 = solve_and_verify(&t, 1).run.profile().worst_case();
+        let k2 = solve_and_verify(&t, 2).run.profile().worst_case();
         assert!(k1 >= (n as u64) / 2, "k=1 worst {k1}");
         assert!(k2 < k1 / 5, "k=2 worst {k2} vs k=1 {k1}");
         assert!(k2 >= 50, "k=2 should still pay ~sqrt(n): {k2}");

@@ -117,7 +117,6 @@ mod tests {
     use lcl_graph::generators::path;
     use lcl_local::engine::{run_sync_with, EngineConfig};
     use lcl_local::identifiers::Ids;
-    use lcl_local::metrics::TerminationProfile;
 
     #[test]
     fn scheduled_cast_realizes_the_plan() {
@@ -135,7 +134,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.outputs, *labels);
         assert_eq!(out.stats.as_slice(), &rounds[..]);
-        assert_eq!(out.profile, TerminationProfile::from_rounds(&rounds));
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
         for n in [1_000usize, 10_000, 100_000] {
             let tree = path(n);
             let run = randomized_three_color_path(&tree, 42);
-            avgs.push(run.stats().node_averaged());
+            avgs.push(run.profile().node_averaged());
         }
         for &a in &avgs {
             assert!(a < 4.0, "averages: {avgs:?}");
@@ -151,7 +151,7 @@ mod tests {
         let tree = path(n);
         for seed in 0..3 {
             let run = randomized_three_color_path(&tree, seed);
-            assert!(run.stats().worst_case() <= 40, "seed {seed}");
+            assert!(run.profile().worst_case() <= 40, "seed {seed}");
         }
     }
 

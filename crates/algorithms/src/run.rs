@@ -1,6 +1,6 @@
 //! Common result type for algorithm executions.
 
-use lcl_local::metrics::RoundStats;
+use lcl_local::metrics::TerminationProfile;
 
 /// Outputs and per-node termination rounds of one algorithm execution.
 #[derive(Debug, Clone)]
@@ -26,11 +26,11 @@ impl<O> AlgorithmRun<O> {
         AlgorithmRun { outputs, rounds }
     }
 
-    /// Round statistics of the execution, borrowing the round vector
-    /// (no copy is made).
+    /// The termination profile of the execution: its node average,
+    /// worst case, quantiles and histogram. Panics on an empty run.
     #[must_use]
-    pub fn stats(&self) -> RoundStats<'_> {
-        RoundStats::from_slice(&self.rounds)
+    pub fn profile(&self) -> TerminationProfile {
+        TerminationProfile::from_rounds(&self.rounds)
     }
 
     /// Number of nodes.
@@ -53,7 +53,7 @@ mod tests {
     #[test]
     fn stats_roundtrip() {
         let run = AlgorithmRun::new(vec!['a', 'b'], vec![1, 3]);
-        assert_eq!(run.stats().node_averaged(), 2.0);
+        assert_eq!(run.profile().node_averaged(), 2.0);
         assert_eq!(run.len(), 2);
         assert!(!run.is_empty());
     }

@@ -89,10 +89,10 @@ mod tests {
         for v in 0..n {
             assert_eq!(run.rounds[v], v.max(n - 1 - v) as u64);
         }
-        let stats = run.stats();
-        assert_eq!(stats.worst_case(), (n - 1) as u64);
+        let profile = run.profile();
+        assert_eq!(profile.worst_case(), (n - 1) as u64);
         // Node average ≈ 3n/4.
-        let avg = stats.node_averaged();
+        let avg = profile.node_averaged();
         assert!(avg > 0.6 * n as f64 && avg < 0.85 * n as f64, "avg = {avg}");
     }
 
@@ -100,10 +100,10 @@ mod tests {
     fn node_average_grows_linearly() {
         // The Θ(n) shape of Corollary 60: doubling n doubles the average.
         let a = two_color_path(&path(100), &Ids::sequential(100))
-            .stats()
+            .profile()
             .node_averaged();
         let b = two_color_path(&path(200), &Ids::sequential(200))
-            .stats()
+            .profile()
             .node_averaged();
         let ratio = b / a;
         assert!(ratio > 1.8 && ratio < 2.2, "ratio = {ratio}");

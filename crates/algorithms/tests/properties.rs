@@ -41,7 +41,7 @@ proptest! {
         let budget: u64 = gammas.iter().map(|&g| 2 * g as u64 + k as u64).sum::<u64>()
             + n as u64
             + 64;
-        prop_assert!(run.stats().worst_case() <= budget);
+        prop_assert!(run.profile().worst_case() <= budget);
     }
 
     #[test]
@@ -75,7 +75,7 @@ proptest! {
         // doubling comparisons — are the right invariant.)
         let n = 1usize << exp;
         let r = three_color_path(&path(n), &Ids::random(n, seed))
-            .stats()
+            .profile()
             .worst_case();
         prop_assert!(r <= 22 + 8, "n = {n}: {r} rounds");
     }

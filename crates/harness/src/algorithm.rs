@@ -230,9 +230,10 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Assembles a record from per-node labels and rounds; summary
-    /// statistics are computed here, borrowing the rounds. The record
-    /// starts with `engine = "direct"`.
+    /// Assembles a record from per-node labels and rounds; the summary
+    /// statistics all come from one
+    /// [`TerminationProfile`](lcl_local::metrics::TerminationProfile) of
+    /// the rounds. The record starts with `engine = "direct"`.
     ///
     /// # Panics
     ///
@@ -252,10 +253,9 @@ impl RunRecord {
             rounds.len(),
             "labels and rounds must cover the same nodes"
         );
-        let stats = lcl_local::metrics::RoundStats::from_slice(&rounds);
-        let node_averaged = stats.node_averaged();
-        let worst_case = stats.worst_case();
-        let profile = stats.profile();
+        let profile = lcl_local::metrics::TerminationProfile::from_rounds(&rounds);
+        let node_averaged = profile.node_averaged();
+        let worst_case = profile.worst_case();
         let median_round = profile.quantile(0.5);
         let histogram = profile
             .nonzero_bins()
@@ -300,9 +300,9 @@ impl RunRecord {
         self
     }
 
-    /// The termination profile of this run, built from the raw per-node
-    /// `rounds` vector (independently of the serialized `histogram`
-    /// field, which the differential tests cross-check against it).
+    /// The termination profile of this run, rebuilt from the raw per-node
+    /// `rounds` vector: the summary [`RunRecord::from_rounds`] read the
+    /// record's statistics from.
     #[must_use]
     pub fn profile(&self) -> lcl_local::metrics::TerminationProfile {
         lcl_local::metrics::TerminationProfile::from_rounds(&self.rounds)

@@ -45,7 +45,7 @@ use crate::registry::resolver;
 use crate::Algorithm;
 use lcl_core::churn::ChurnScript;
 use lcl_graph::surgery::{churn_batch, extract_components, OpWeights, ShapeDiscipline};
-use lcl_graph::{NodeId, Tree};
+use lcl_graph::{Bfs, NodeId, Tree};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -459,15 +459,17 @@ impl DynamicSession {
     /// (region covers the whole tree, or a region run failed).
     fn try_incremental(&mut self, t: u64, touched: &[NodeId]) -> Option<(usize, usize)> {
         let n = self.tree.node_count();
-        let dist = self.tree.multi_source_distances(touched);
-        let reach = t.saturating_mul(2).saturating_add(1);
-        let region: Vec<NodeId> = (0..n).filter(|&v| u64::from(dist[v]) <= reach).collect();
+        // The region: every node within `2T + 1` of the touched set.
+        let reach = u32::try_from(t.saturating_mul(2).saturating_add(1));
+        let mut bfs = Bfs::new(n);
+        bfs.run(&self.tree, touched, None, reach.unwrap_or(Bfs::UNBOUNDED));
+        let region = bfs.order();
         if region.len() >= n {
             return None;
         }
         let mut cfg = self.cfg.clone().without_verify();
         let mut patch: Vec<(NodeId, u64, u64)> = Vec::new();
-        for comp in extract_components(&self.tree, &region) {
+        for comp in extract_components(&self.tree, region) {
             let spec = InstanceSpec::Churned {
                 base: Box::new(self.base.clone()),
                 batch: self.batch,
@@ -484,7 +486,7 @@ impl DynamicSession {
                 .run(&Instance::from_tree(spec, comp.tree), &cfg)
                 .ok()?;
             for (i, &v) in comp.nodes.iter().enumerate() {
-                if u64::from(dist[v]) <= t {
+                if u64::from(bfs.dist(v)) <= t {
                     patch.push((v, record.labels[i], record.rounds[i]));
                 }
             }

@@ -559,7 +559,6 @@ fn differential_scheduled_cast_protocol() {
             let ctx = format!("scheduled-cast cs={chunk_size} t={threads}");
             assert_eq!(out.outputs, *labels, "{ctx}: labels");
             assert_eq!(out.stats.as_slice(), &rounds[..], "{ctx}: rounds");
-            assert_eq!(out.profile, reference.profile, "{ctx}: profile");
         }
     }
 }

@@ -20,12 +20,15 @@
 //! writes through `Serialize::write_json`). The record's `Value` tree is
 //! the parse of that stream; a property test below holds rendering the
 //! tree byte-equal to the stream, over records full of edge values:
-//! extreme integers, non-finite floats, escaped strings.
+//! extreme integers, non-finite floats, escaped strings. A second
+//! property holds the record's summary (node average, worst case, median,
+//! histogram) to its per-node definitions.
 
 use lcl_harness::{resolver, InstanceSpec, RoundBin, RunConfig, RunRecord};
 use proptest::prelude::*;
 use proptest::TestRng;
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Seed fixed for every golden run; `elapsed_ms` stays `0.0` because the
@@ -288,8 +291,68 @@ fn arbitrary_record(rng: &mut TestRng) -> RunRecord {
     }
 }
 
+/// Per-node termination rounds: `1..=300` nodes, every round below
+/// `2^17`, drawn all equal, sparse (mostly round 0 with a few late
+/// nodes), clustered in a narrow band, or spread uniformly.
+fn arbitrary_rounds(rng: &mut TestRng) -> Vec<u64> {
+    const CAP: u64 = 1 << 17;
+    let n = 1 + (rng.next_u64() % 300) as usize;
+    match rng.next_u64() % 4 {
+        0 => vec![rng.next_u64() % CAP; n],
+        1 => (0..n)
+            .map(|_| {
+                if rng.next_u64().is_multiple_of(16) {
+                    rng.next_u64() % CAP
+                } else {
+                    0
+                }
+            })
+            .collect(),
+        2 => {
+            let base = rng.next_u64() % (CAP - 8);
+            (0..n).map(|_| base + rng.next_u64() % 8).collect()
+        }
+        _ => (0..n).map(|_| rng.next_u64() % CAP).collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn record_summary_matches_per_node_definitions(seed in any::<u64>()) {
+        let rounds = arbitrary_rounds(&mut TestRng::new(seed));
+        let n = rounds.len();
+        let record = RunRecord::from_rounds(
+            "two-coloring",
+            &InstanceSpec::Path { n },
+            seed,
+            vec![0; n],
+            rounds.clone(),
+            None,
+            false,
+        );
+        // The node average divides the exact sum by `n`.
+        let total: u128 = rounds.iter().map(|&r| u128::from(r)).sum();
+        prop_assert_eq!(
+            record.node_averaged.to_bits(),
+            (total as f64 / n as f64).to_bits()
+        );
+        prop_assert_eq!(record.worst_case, *rounds.iter().max().expect("n >= 1"));
+        // The median is the `⌈n/2⌉`-th smallest round.
+        let mut sorted = rounds.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(record.median_round, sorted[n.div_ceil(2) - 1]);
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+        for &r in &rounds {
+            *counts.entry(r).or_insert(0) += 1;
+        }
+        let histogram: Vec<RoundBin> = counts
+            .into_iter()
+            .map(|(round, count)| RoundBin { round, count })
+            .collect();
+        prop_assert_eq!(&record.histogram, &histogram);
+    }
 
     #[test]
     fn streamed_records_match_their_tree(seed in any::<u64>()) {

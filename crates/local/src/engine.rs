@@ -55,6 +55,10 @@
 //!   It is dropped once the last node terminates, and only then are the
 //!   outputs flattened and the `u32` rounds widened to `u64`, so those
 //!   copies never add to the run's peak memory.
+//! - **One instrumentation path.** A run records one termination round
+//!   per node and nothing per round; its summary is a
+//!   [`TerminationProfile`](crate::metrics::TerminationProfile) built
+//!   from those rounds by whoever summarizes the run.
 //!
 //! # One round loop, two stores
 //!
@@ -81,7 +85,7 @@
 //! be sent (the natural LOCAL convention; enforced by [`Outbox::send`]).
 
 use crate::identifiers::Ids;
-use crate::metrics::{RoundStats, TerminationProfile};
+use crate::metrics::RoundStats;
 use lcl_graph::{NodeId, Tree};
 use std::error::Error;
 use std::fmt;
@@ -468,22 +472,18 @@ impl fmt::Display for RunError {
 
 impl Error for RunError {}
 
-/// Result of a completed synchronous execution.
+/// Result of a completed synchronous execution: outputs, per-node
+/// termination rounds and work counters. It carries no summary of the
+/// rounds; [`RoundStats::profile`] builds one when it is needed.
 #[derive(Debug, Clone)]
 pub struct SyncOutcome<O> {
     /// Output of every node.
     pub outputs: Vec<O>,
     /// Per-node termination rounds: `stats.round(v)` is the first round in
     /// which node `v`'s output is final. Recorded in one `u32` slot per
-    /// node during the run (half the footprint of the summary's `u64`
-    /// form at million-node scale) and widened once at the end.
-    pub stats: RoundStats<'static>,
-    /// Aggregated per-round termination counts. The chunked engine
-    /// accumulates these for free (it already counts terminations per
-    /// round to detect completion), so the histogram costs no per-node
-    /// work; it is cross-checked against `stats` in the differential
-    /// tests.
-    pub profile: TerminationProfile,
+    /// node during the run (half the footprint of the `u64` form at
+    /// million-node scale) and widened once at the end.
+    pub stats: RoundStats,
     /// Number of messages sent by running nodes, including final messages
     /// (diagnostics; the reference engine counts deliveries to live nodes
     /// instead, which can differ on terminal rounds for messages sent to
@@ -1458,9 +1458,6 @@ where
 
     let mut outputs: Vec<Option<P::Output>> = vec![None; n];
     let mut rounds: Vec<u32> = vec![0; n];
-    // Per-round termination counts: `terminated_in[r]` nodes fixed their
-    // output in round `r`. One push per round, no per-node work.
-    let mut terminated_in: Vec<u64> = Vec::new();
     // Event-driven scheduling state: everyone is due at round 0, no mail.
     let chunk_count = n.div_ceil(chunk_size);
     let mut wakes: Vec<u64> = vec![0; n];
@@ -1573,19 +1570,15 @@ where
         messages += tally.sent;
         node_visits += tally.visits;
         sent = tally.sent;
-        terminated_in.push(tally.terminated as u64);
         frontier.gather(&mut mail_logs);
         round += 1;
         // Round fast-forward: with nothing in flight the next event is the
         // earliest wake; skip the quiet rounds wholesale (they would all be
-        // zero-visit scans). The histogram keeps one (zero) entry per
-        // skipped round so profiles stay dense.
+        // zero-visit scans).
         if running > 0 && sent == 0 {
             let next = chunk_wakes.iter().copied().min().unwrap_or(u64::MAX);
             if next > round {
-                let target = next.min(max_rounds.saturating_add(1));
-                terminated_in.resize(target as usize, 0);
-                round = target;
+                round = next.min(max_rounds.saturating_add(1));
             }
         }
     }
@@ -1609,12 +1602,9 @@ where
         n,
         "every node has an output once `running` reaches 0"
     );
-    let profile = TerminationProfile::from_counts(terminated_in);
-    debug_assert_eq!(profile.total_nodes() as usize, n);
     Ok(SyncOutcome {
         outputs,
         stats: RoundStats::new(rounds.into_iter().map(u64::from).collect()),
-        profile,
         messages,
         peak_arena_bytes,
         node_visits,
@@ -1743,7 +1733,6 @@ pub(crate) mod tests {
                 .unwrap();
                 assert_eq!(out.outputs, baseline.outputs, "cs={chunk_size} t={threads}");
                 assert_eq!(out.stats, baseline.stats, "cs={chunk_size} t={threads}");
-                assert_eq!(out.profile, baseline.profile, "cs={chunk_size} t={threads}");
                 assert_eq!(
                     out.messages, baseline.messages,
                     "cs={chunk_size} t={threads}"
@@ -1835,11 +1824,7 @@ pub(crate) mod tests {
         }
         // Node-averaged ~ 3n/4, worst-case = n-1.
         assert_eq!(out.stats.worst_case(), (n - 1) as u64);
-        // The per-round termination counts agree with the per-node rounds:
-        // two nodes fix their output per round from the middle outward.
-        assert_eq!(out.profile, out.stats.profile());
-        assert_eq!(out.profile.worst_case(), (n - 1) as u64);
-        assert_eq!(out.profile.total_nodes(), n as u64);
+        assert_eq!(out.stats.len(), n);
     }
 
     #[test]
@@ -2157,7 +2142,6 @@ pub(crate) mod tests {
             };
             assert_eq!(out.outputs, base.outputs, "t={threads}");
             assert_eq!(out.stats, base.stats, "t={threads}");
-            assert_eq!(out.profile, base.profile, "t={threads}");
             assert_eq!(out.messages, base.messages, "t={threads}");
             assert_eq!(out.peak_arena_bytes, base.peak_arena_bytes, "t={threads}");
             assert_eq!(out.node_visits, base.node_visits, "t={threads}");
@@ -2231,7 +2215,6 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(hinted.outputs, plain.outputs);
         assert_eq!(hinted.stats, plain.stats);
-        assert_eq!(hinted.profile, plain.profile);
         assert_eq!(hinted.messages, plain.messages);
         for chunk_size in [1, 7, 64, n] {
             for threads in [1, 2, 3] {
@@ -2254,7 +2237,6 @@ pub(crate) mod tests {
                 .unwrap();
                 assert_eq!(out.outputs, plain.outputs, "cs={chunk_size} t={threads}");
                 assert_eq!(out.stats, plain.stats, "cs={chunk_size} t={threads}");
-                assert_eq!(out.profile, plain.profile, "cs={chunk_size} t={threads}");
             }
         }
     }
@@ -2310,8 +2292,8 @@ pub(crate) mod tests {
             assert_eq!(out.outputs[v], t);
             assert_eq!(out.stats.round(v), t);
         }
-        assert_eq!(out.profile.total_nodes(), n as u64);
-        assert_eq!(out.profile.worst_case(), 1 + 10_000 * n as u64);
+        assert_eq!(out.stats.len(), n);
+        assert_eq!(out.stats.worst_case(), 1 + 10_000 * n as u64);
     }
 
     #[test]

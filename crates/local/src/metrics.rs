@@ -3,16 +3,10 @@
 //! The central quantity of the paper is the *node-averaged complexity*
 //! (Section 2): the average, over all nodes, of the round in which each node
 //! terminates, maximized over instances. An execution yields one termination
-//! round per node; [`RoundStats`] summarizes them.
+//! round per node; [`RoundStats`] holds them, and [`TerminationProfile`] is
+//! their one summary.
 
-use std::borrow::Cow;
-
-/// Per-node termination rounds of one execution, with summary accessors.
-///
-/// Backed by a [`Cow`]: [`RoundStats::new`] takes ownership of a vector,
-/// while [`RoundStats::from_slice`] borrows an existing round slice
-/// without copying it — the cheap path for computing summaries of a run
-/// that already owns its rounds.
+/// Per-node termination rounds of one execution.
 ///
 /// # Examples
 ///
@@ -21,16 +15,14 @@ use std::borrow::Cow;
 /// let s = RoundStats::new(vec![0, 2, 4]);
 /// assert_eq!(s.worst_case(), 4);
 /// assert_eq!(s.node_averaged(), 2.0);
-/// let rounds = [1u64, 3];
-/// let borrowed = RoundStats::from_slice(&rounds);
-/// assert_eq!(borrowed.node_averaged(), 2.0);
+/// assert_eq!(s.profile().quantile(0.5), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundStats<'a> {
-    rounds: Cow<'a, [u64]>,
+pub struct RoundStats {
+    rounds: Vec<u64>,
 }
 
-impl RoundStats<'static> {
+impl RoundStats {
     /// Wraps a vector of per-node termination rounds.
     ///
     /// # Panics
@@ -42,27 +34,7 @@ impl RoundStats<'static> {
             !rounds.is_empty(),
             "round statistics need at least one node"
         );
-        RoundStats {
-            rounds: Cow::Owned(rounds),
-        }
-    }
-}
-
-impl<'a> RoundStats<'a> {
-    /// Borrows a slice of per-node termination rounds without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds` is empty (the average would be undefined).
-    #[must_use]
-    pub fn from_slice(rounds: &'a [u64]) -> Self {
-        assert!(
-            !rounds.is_empty(),
-            "round statistics need at least one node"
-        );
-        RoundStats {
-            rounds: Cow::Borrowed(rounds),
-        }
+        RoundStats { rounds }
     }
 
     /// Number of nodes.
@@ -89,11 +61,10 @@ impl<'a> RoundStats<'a> {
         &self.rounds
     }
 
-    /// The per-node rounds as a vector: moved out when owned (no copy),
-    /// copied when borrowed.
+    /// The per-node rounds, moved out without a copy.
     #[must_use]
     pub fn into_vec(self) -> Vec<u64> {
-        self.rounds.into_owned()
+        self.rounds
     }
 
     /// Total rounds summed over nodes, `Σ_v T_v`.
@@ -108,61 +79,13 @@ impl<'a> RoundStats<'a> {
         self.total() as f64 / self.rounds.len() as f64
     }
 
-    /// Worst-case complexity `max_v T_v` of this execution (0 when no
-    /// nodes were recorded).
+    /// Worst-case complexity `max_v T_v` of this execution.
     #[must_use]
     pub fn worst_case(&self) -> u64 {
         self.rounds.iter().copied().max().unwrap_or(0)
     }
 
-    /// Fraction of nodes with termination round at most `r`.
-    #[must_use]
-    pub fn fraction_done_by(&self, r: u64) -> f64 {
-        let done = self.rounds.iter().filter(|&&t| t <= r).count();
-        done as f64 / self.rounds.len() as f64
-    }
-
-    /// Histogram of termination rounds as `(round, count)` pairs sorted by
-    /// round. Useful for inspecting the phase structure of the generic
-    /// algorithms.
-    #[must_use]
-    pub fn histogram(&self) -> Vec<(u64, usize)> {
-        let mut map = std::collections::BTreeMap::new();
-        for &r in self.rounds.iter() {
-            *map.entry(r).or_insert(0usize) += 1;
-        }
-        map.into_iter().collect()
-    }
-
-    /// Merges two executions over disjoint node sets (concatenation).
-    #[must_use]
-    pub fn merged_with(&self, other: &RoundStats<'_>) -> RoundStats<'static> {
-        let mut rounds = self.rounds.to_vec();
-        rounds.extend_from_slice(&other.rounds);
-        RoundStats {
-            rounds: Cow::Owned(rounds),
-        }
-    }
-}
-
-impl<'a> RoundStats<'a> {
-    /// The smallest round `r` such that at least `⌈q · n⌉` nodes have
-    /// terminated by round `r` (`q ∈ (0, 1]`; `q = 0.5` is the median
-    /// termination round).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q <= 1`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
-        let mut sorted: Vec<u64> = self.rounds.to_vec();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    /// The aggregated per-round termination profile of this execution.
+    /// The per-round termination profile of this execution.
     #[must_use]
     pub fn profile(&self) -> TerminationProfile {
         TerminationProfile::from_rounds(&self.rounds)
@@ -172,21 +95,20 @@ impl<'a> RoundStats<'a> {
 /// Aggregated per-round termination counts of one execution: `counts[r]`
 /// is the number of nodes whose termination round is exactly `r`.
 ///
-/// This is the dense histogram the chunked engine accumulates for free
-/// while running (it already counts terminations per round), and the
-/// summary the harness serializes instead of (or alongside) the raw
-/// per-node round vector. All summary statistics of [`RoundStats`] are
-/// recoverable from it; [`TerminationProfile::node_averaged`] and
-/// [`RoundStats::node_averaged`] agree exactly.
+/// The one summary of a run's rounds: built in one pass from the
+/// per-node rounds (plus one to find the worst case), it answers the
+/// node average, the worst case, the quantiles, the fraction done by a
+/// round and the histogram. [`TerminationProfile::node_averaged`] and
+/// [`RoundStats::node_averaged`] divide the same exact `u128` sum by the
+/// same `n`, so they agree bit for bit.
 ///
 /// # Examples
 ///
 /// ```
-/// use lcl_local::metrics::{RoundStats, TerminationProfile};
-/// let stats = RoundStats::new(vec![0, 2, 2, 3]);
-/// let profile = stats.profile();
+/// use lcl_local::metrics::TerminationProfile;
+/// let profile = TerminationProfile::from_rounds(&[0, 2, 2, 3]);
 /// assert_eq!(profile.nonzero_bins(), vec![(0, 1), (2, 2), (3, 1)]);
-/// assert_eq!(profile.node_averaged(), stats.node_averaged());
+/// assert_eq!(profile.node_averaged(), 1.75);
 /// assert_eq!(profile.worst_case(), 3);
 /// assert_eq!(profile.quantile(0.5), 2);
 /// ```
@@ -197,24 +119,6 @@ pub struct TerminationProfile {
 }
 
 impl TerminationProfile {
-    /// Wraps dense per-round termination counts (`counts[r]` = nodes
-    /// terminating in round `r`). Trailing zero rounds are trimmed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counts sum to zero (no nodes).
-    #[must_use]
-    pub fn from_counts(mut counts: Vec<u64>) -> Self {
-        while counts.last() == Some(&0) {
-            counts.pop();
-        }
-        assert!(
-            !counts.is_empty(),
-            "termination profile needs at least one node"
-        );
-        TerminationProfile { counts }
-    }
-
     /// Builds the profile from per-node termination rounds.
     ///
     /// # Panics
@@ -276,7 +180,9 @@ impl TerminationProfile {
         (self.counts.len() - 1) as u64
     }
 
-    /// The smallest round by which a `q` fraction of nodes has terminated.
+    /// The smallest round `r` such that at least `⌈q · n⌉` nodes have
+    /// terminated by round `r` (`q ∈ (0, 1]`; `q = 0.5` is the median
+    /// termination round).
     ///
     /// # Panics
     ///
@@ -313,22 +219,6 @@ impl serde::Serialize for TerminationProfile {
     }
 }
 
-impl FromIterator<u64> for RoundStats<'static> {
-    fn from_iter<T: IntoIterator<Item = u64>>(iter: T) -> Self {
-        RoundStats::new(iter.into_iter().collect())
-    }
-}
-
-impl serde::Serialize for RoundStats<'_> {
-    // Manual impl (the vendored derive does not handle lifetime
-    // parameters); mirrors the shape the derive would emit.
-    fn write_json(&self, out: &mut String) {
-        serde::ObjectWriter::new(out)
-            .field("rounds", &self.rounds[..])
-            .end();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,31 +235,10 @@ mod tests {
 
     #[test]
     fn fraction_done() {
-        let s = RoundStats::new(vec![0, 1, 2, 3]);
-        assert_eq!(s.fraction_done_by(0), 0.25);
-        assert_eq!(s.fraction_done_by(1), 0.5);
-        assert_eq!(s.fraction_done_by(5), 1.0);
-    }
-
-    #[test]
-    fn histogram_orders_rounds() {
-        let s = RoundStats::new(vec![3, 1, 3, 3, 1]);
-        assert_eq!(s.histogram(), vec![(1, 2), (3, 3)]);
-    }
-
-    #[test]
-    fn merging_concatenates() {
-        let a = RoundStats::new(vec![1, 2]);
-        let b = RoundStats::new(vec![3]);
-        let m = a.merged_with(&b);
-        assert_eq!(m.as_slice(), &[1, 2, 3]);
-        assert_eq!(m.node_averaged(), 2.0);
-    }
-
-    #[test]
-    fn from_iterator() {
-        let s: RoundStats = (0..5u64).collect();
-        assert_eq!(s.worst_case(), 4);
+        let p = TerminationProfile::from_rounds(&[0, 1, 2, 3]);
+        assert_eq!(p.fraction_done_by(0), 0.25);
+        assert_eq!(p.fraction_done_by(1), 0.5);
+        assert_eq!(p.fraction_done_by(5), 1.0);
     }
 
     #[test]
@@ -380,11 +249,11 @@ mod tests {
 
     #[test]
     fn quantiles_walk_the_sorted_rounds() {
-        let s = RoundStats::new(vec![5, 0, 1, 3]);
-        assert_eq!(s.quantile(0.25), 0);
-        assert_eq!(s.quantile(0.5), 1);
-        assert_eq!(s.quantile(0.75), 3);
-        assert_eq!(s.quantile(1.0), 5);
+        let p = TerminationProfile::from_rounds(&[5, 0, 1, 3]);
+        assert_eq!(p.quantile(0.25), 0);
+        assert_eq!(p.quantile(0.5), 1);
+        assert_eq!(p.quantile(0.75), 3);
+        assert_eq!(p.quantile(1.0), 5);
     }
 
     #[test]
@@ -394,24 +263,21 @@ mod tests {
         assert_eq!(p.total_nodes(), 6);
         assert_eq!(p.node_averaged(), s.node_averaged());
         assert_eq!(p.worst_case(), s.worst_case());
+        assert_eq!(p.counts(), &[2, 0, 0, 3, 0, 0, 0, 1]);
         assert_eq!(p.nonzero_bins(), vec![(0, 2), (3, 3), (7, 1)]);
+        // Quantiles by definition: the `⌈q · n⌉`-th smallest round.
+        let mut sorted = s.as_slice().to_vec();
+        sorted.sort_unstable();
         for q in [0.1, 0.34, 0.5, 0.99, 1.0] {
-            assert_eq!(p.quantile(q), s.quantile(q), "q = {q}");
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            assert_eq!(p.quantile(q), sorted[rank - 1], "q = {q}");
         }
-        assert_eq!(p.fraction_done_by(3), s.fraction_done_by(3));
-    }
-
-    #[test]
-    fn profile_from_counts_trims_trailing_zeros() {
-        let p = TerminationProfile::from_counts(vec![2, 0, 1, 0, 0]);
-        assert_eq!(p.counts(), &[2, 0, 1]);
-        assert_eq!(p.worst_case(), 2);
-        assert_eq!(p, TerminationProfile::from_rounds(&[0, 0, 2]));
+        assert_eq!(p.fraction_done_by(3), 5.0 / 6.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn profile_rejects_empty() {
-        let _ = TerminationProfile::from_counts(vec![0, 0]);
+        let _ = TerminationProfile::from_rounds(&[]);
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::engine::{Inbox, NodeContext, Outbox, Protocol, RunError, SyncOutcome};
 use crate::identifiers::Ids;
-use crate::metrics::{RoundStats, TerminationProfile};
+use crate::metrics::RoundStats;
 use lcl_graph::{NodeId, Tree};
 
 /// Runs `factory`'s protocol on every node of `tree` with the frozen
@@ -122,14 +122,9 @@ where
         n,
         "every node has an output once `running` reaches 0"
     );
-    // Independently derived from the per-node rounds (the chunked engine
-    // accumulates its profile per round instead) so the differential tests
-    // cross-check the two instrumentation paths against each other.
-    let profile = TerminationProfile::from_rounds(&rounds);
     Ok(SyncOutcome {
         outputs,
         stats: RoundStats::new(rounds),
-        profile,
         messages,
         // The reference engine keeps per-round message lists, not arenas.
         peak_arena_bytes: 0,
@@ -226,16 +221,6 @@ mod tests {
                 assert_eq!(
                     chunked.stats, reference.stats,
                     "rounds diverge at cs={chunk_size} t={threads}"
-                );
-                assert_eq!(
-                    chunked.profile, reference.profile,
-                    "termination profiles diverge at cs={chunk_size} t={threads}"
-                );
-                assert_eq!(
-                    chunked.profile,
-                    chunked.stats.profile(),
-                    "per-round counts disagree with per-node rounds at \
-                     cs={chunk_size} t={threads}"
                 );
             }
         }

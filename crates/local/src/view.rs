@@ -162,7 +162,7 @@ pub struct ViewOutcome<O> {
     /// Output of every node.
     pub outputs: Vec<O>,
     /// Per-node termination rounds (= deciding radius).
-    pub stats: RoundStats<'static>,
+    pub stats: RoundStats,
 }
 
 /// A view algorithm failed to decide within the allotted radius.

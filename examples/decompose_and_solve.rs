@@ -49,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for k in [1usize, 2, 3] {
         let sol = solve_hierarchical_labeling(&hard, k);
         HierarchicalLabeling::new(k).verify(&hard, &vec![(); m], &sol.run.outputs)?;
-        let stats = sol.run.stats();
+        let profile = sol.run.profile();
         println!(
             "k = {k}: verified, γ = {:>6}, worst-case rounds = {:>6} (n^(1/k) = {:.0})",
             sol.gamma,
-            stats.worst_case(),
+            profile.worst_case(),
             (m as f64).powf(1.0 / k as f64)
         );
     }

@@ -52,11 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. The low-level surface remains available for custom experiments.
     let first = &records[0];
-    let stats = RoundStats::from_slice(&first.rounds);
+    let profile = first.profile();
     println!(
         "fraction of nodes done within 5 rounds at n = {}: {:.1}%",
         first.n,
-        100.0 * stats.fraction_done_by(5)
+        100.0 * profile.fraction_done_by(5)
     );
     Ok(())
 }

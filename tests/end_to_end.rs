@@ -95,9 +95,9 @@ fn two_coloring_is_linear_and_three_coloring_is_not() {
     let n = 60_000;
     let tree = path(n);
     let ids = Ids::random(n, 3);
-    let two = two_color_path(&tree, &ids).stats().node_averaged();
+    let two = two_color_path(&tree, &ids).profile().node_averaged();
     let three = lcl_landscape::algorithms::linial::three_color_path(&tree, &ids)
-        .stats()
+        .profile()
         .node_averaged();
     // 2-coloring pays ~3n/4 on average; 3-coloring a small constant.
     assert!(two > n as f64 / 2.0);
