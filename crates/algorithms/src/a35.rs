@@ -8,16 +8,22 @@
 //! (Lemma 56), while the reserve-pruned copy components `C'(v)` of
 //! Lemmas 50–52 wait for their adjacent active node and then flood its
 //! output — the `W_i` sets of Lemmas 54–55.
+//!
+//! Everything but the weight side is [`apoly`](crate::apoly::apoly)'s
+//! skeleton: the same active side, inputs and flood. Each decline and
+//! connect keeps its own round, and a copy component floods from the
+//! round it forms, so case 1 of Section 8.2 (the active neighbor already
+//! decided when the component formed) and case 2 (the component waits
+//! for it) share one accounting.
 
+use crate::apoly::run_weighted;
 use crate::fast_decomposition::fast_dfree;
-use crate::generic_coloring::generic_coloring_masked;
 use crate::run::AlgorithmRun;
 use lcl_core::coloring::Variant;
-use lcl_core::dfree::{DfreeInput, DfreeOutput};
+use lcl_core::dfree::DfreeInput;
 use lcl_core::weighted::WeightedOutput;
-use lcl_graph::levels::Levels;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeMask, Tree};
+use lcl_graph::{NodeMask, Tree};
 use lcl_local::identifiers::Ids;
 
 /// Runs the `Π^{3.5}` algorithm on an `Active`/`Weight`-labeled tree.
@@ -42,95 +48,11 @@ pub fn a35(
     gammas: &[usize],
     ids: &Ids,
 ) -> AlgorithmRun<WeightedOutput> {
-    assert_eq!(gammas.len(), k - 1, "need k - 1 phase parameters");
-    let n = tree.node_count();
-    assert_eq!(kinds.len(), n, "kinds must cover all nodes");
-    let mut outputs: Vec<Option<WeightedOutput>> = vec![None; n];
-    let mut rounds: Vec<u64> = vec![0; n];
-
-    // --- Active side: 3½ generic coloring per component. ---
-    let active_mask =
-        NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Active));
-    for comp in induced_components(tree, &active_mask) {
-        let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-        let levels = Levels::compute_masked(tree, &comp_mask, k);
-        let run =
-            generic_coloring_masked(tree, &comp_mask, &levels, Variant::ThreeHalf, gammas, ids);
-        for v in comp {
-            outputs[v] = Some(WeightedOutput::Active(
-                run.outputs[v].expect("component fully decided"),
-            ));
-            rounds[v] = run.rounds[v];
-        }
-    }
-
-    // --- Weight side: adapted fast decomposition. ---
-    let weight_mask =
-        NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Weight));
-    let dfree_input: Vec<DfreeInput> = tree
-        .nodes()
-        .map(|v| {
-            let adjacent_to_active = tree
-                .neighbors(v)
-                .iter()
-                .any(|&w| kinds[w as usize] == NodeKind::Active);
-            if adjacent_to_active {
-                DfreeInput::Adjacent
-            } else {
-                DfreeInput::Weight
-            }
-        })
-        .collect();
-    let fast = fast_dfree(tree, &weight_mask, &dfree_input, d);
-
-    for v in weight_mask.iter() {
-        match fast.outputs[v] {
-            Some(DfreeOutput::Decline) => {
-                outputs[v] = Some(WeightedOutput::Decline);
-                rounds[v] = fast.rounds[v];
-            }
-            Some(DfreeOutput::Connect) => {
-                outputs[v] = Some(WeightedOutput::Connect);
-                rounds[v] = fast.rounds[v];
-            }
-            Some(DfreeOutput::Copy) => unreachable!("components resolve below"),
-            None => {} // component member, resolved below
-        }
-    }
-
-    // --- Copy components: wait for the active neighbor, then flood. ---
-    for comp in &fast.components {
-        let anchor = comp.anchor;
-        let (source, color) = tree
-            .neighbors(anchor)
-            .iter()
-            .map(|&w| w as usize)
-            .filter(|&w| kinds[w] == NodeKind::Active)
-            .map(|w| {
-                let c = match outputs[w] {
-                    Some(WeightedOutput::Active(c)) => c,
-                    _ => unreachable!("active nodes decided above"),
-                };
-                (w, c)
-            })
-            .min_by_key(|&(w, _)| (rounds[w], ids.id(w)))
-            .expect("an A-labeled weight node has an active neighbor");
-        // Case 1 of Section 8.2 (active neighbor already terminated when
-        // the component formed) and case 2 (wait for it) share the same
-        // accounting: flooding starts once both the component is formed
-        // and the source has decided.
-        let start = rounds[source].max(comp.formed_round) + 1;
-        for &(u, depth) in &comp.members {
-            outputs[u] = Some(WeightedOutput::Copy(color));
-            rounds[u] = start + depth as u64;
-        }
-    }
-
-    let outputs = outputs
-        .into_iter()
-        .map(|o| o.expect("every node decided"))
-        .collect();
-    AlgorithmRun::new(outputs, rounds)
+    let weight_side = |mask: &NodeMask, input: &[DfreeInput]| {
+        let fast = fast_dfree(tree, mask, input, d);
+        (fast.outputs, fast.rounds, fast.components)
+    };
+    run_weighted(tree, kinds, k, gammas, ids, Variant::ThreeHalf, weight_side)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The algorithm `A_poly` for `Π^{2.5}_{Δ,d,k}` (Section 7.1).
+//! The algorithm `A_poly` for `Π^{2.5}_{Δ,d,k}` (Section 7.1), and the
+//! weighted-construction skeleton it shares with [`a35`](crate::a35).
 //!
 //! Active components run the generic coloring algorithm with
 //! `γ_i = n^{α_i}` (the optimal exponents of Lemma 33); weight components
@@ -8,10 +9,10 @@
 //! `O(log n) + depth` rounds after `u`'s active neighbor decides — which is
 //! exactly how weight turns active-node latency into node-averaged cost.
 
-use crate::dfree_a::algorithm_a;
-use crate::generic_coloring::generic_coloring_masked;
+use crate::dfree_a::{algorithm_a, CopyComponent};
+use crate::generic_coloring::{generic_coloring_masked, MaskedRun};
 use crate::run::AlgorithmRun;
-use lcl_core::coloring::{ColorLabel, Variant};
+use lcl_core::coloring::Variant;
 use lcl_core::dfree::{DfreeInput, DfreeOutput};
 use lcl_core::weighted::WeightedOutput;
 use lcl_graph::levels::Levels;
@@ -41,47 +42,55 @@ pub fn apoly(
     gammas: &[usize],
     ids: &Ids,
 ) -> AlgorithmRun<WeightedOutput> {
-    run_weighted(tree, kinds, k, d, gammas, ids, Variant::TwoHalf)
+    // Algorithm A is uniform: every node and every copy component is
+    // decided at its collection radius.
+    let n = tree.node_count();
+    let weight_side = |mask: &NodeMask, input: &[DfreeInput]| {
+        let run = algorithm_a(tree, mask, input, d, n);
+        (run.outputs, vec![run.radius; n], run.copy_components)
+    };
+    run_weighted(tree, kinds, k, gammas, ids, Variant::TwoHalf, weight_side)
 }
 
-/// The body of [`apoly`], with the active side's coloring variant as a
-/// parameter. Its only caller is [`apoly`], which passes
-/// `Variant::TwoHalf`; [`a35`](crate::a35::a35) keeps its own copy of
-/// this skeleton, with `fast_dfree` on the weight side.
+/// What a `d`-free weight solver hands the skeleton: each weight node's
+/// output (`Decline` and `Connect` are taken as they are; copy members may
+/// be `None`), the termination rounds of the decided nodes, and the copy
+/// components.
+pub(crate) type WeightSide = (Vec<Option<DfreeOutput>>, Vec<u64>, Vec<CopyComponent>);
+
+/// The weighted-construction skeleton of Sections 7.1 and 8.2
+/// (Definition 22): [`color_active_side`] colors the active components,
+/// `weight_side` solves the `d`-free weight problem on the weight subgraph
+/// (given its mask and the `Adjacent`/`Weight` inputs), and every copy
+/// component floods the output of its anchor's active neighbor.
+///
+/// A member at depth `t` terminates at
+/// `max(round(source), formed_round) + 1 + t`: the anchor learns the output
+/// one round after the source has decided and the component is fixed,
+/// whichever comes last, and the output then spreads one hop per round.
 pub(crate) fn run_weighted(
     tree: &Tree,
     kinds: &[NodeKind],
     k: usize,
-    d: usize,
     gammas: &[usize],
     ids: &Ids,
     variant: Variant,
+    weight_side: impl FnOnce(&NodeMask, &[DfreeInput]) -> WeightSide,
 ) -> AlgorithmRun<WeightedOutput> {
     assert_eq!(gammas.len(), k - 1, "need k - 1 phase parameters");
     let n = tree.node_count();
     assert_eq!(kinds.len(), n, "kinds must cover all nodes");
-    let mut outputs: Vec<Option<WeightedOutput>> = vec![None; n];
-    let mut rounds: Vec<u64> = vec![0; n];
+    let active = color_active_side(tree, kinds, k, variant, gammas, ids);
+    let mut outputs: Vec<Option<WeightedOutput>> = active
+        .outputs
+        .iter()
+        .map(|&c| c.map(WeightedOutput::Active))
+        .collect();
+    let mut rounds = active.rounds;
 
-    // --- Active side: generic coloring per component. ---
-    let active_mask =
-        NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Active));
-    for comp in induced_components(tree, &active_mask) {
-        let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-        let levels = Levels::compute_masked(tree, &comp_mask, k);
-        let run = generic_coloring_masked(tree, &comp_mask, &levels, variant, gammas, ids);
-        for v in comp {
-            outputs[v] = Some(WeightedOutput::Active(
-                run.outputs[v].expect("component fully decided"),
-            ));
-            rounds[v] = run.rounds[v];
-        }
-    }
-
-    // --- Weight side: algorithm A on the weight subgraph. ---
     let weight_mask =
         NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Weight));
-    let dfree_input: Vec<DfreeInput> = tree
+    let input: Vec<DfreeInput> = tree
         .nodes()
         .map(|v| {
             let adjacent_to_active = tree
@@ -95,50 +104,32 @@ pub(crate) fn run_weighted(
             }
         })
         .collect();
-    let dfree = algorithm_a(tree, &weight_mask, &dfree_input, d, n);
-
+    let (decided, decided_rounds, components) = weight_side(&weight_mask, &input);
     for v in weight_mask.iter() {
-        match dfree.outputs[v].expect("weight subgraph fully decided") {
-            DfreeOutput::Decline => {
-                outputs[v] = Some(WeightedOutput::Decline);
-                rounds[v] = dfree.radius;
-            }
-            DfreeOutput::Connect => {
-                outputs[v] = Some(WeightedOutput::Connect);
-                rounds[v] = dfree.radius;
-            }
-            DfreeOutput::Copy => {} // handled per component below
-        }
+        outputs[v] = match decided[v] {
+            Some(DfreeOutput::Decline) => Some(WeightedOutput::Decline),
+            Some(DfreeOutput::Connect) => Some(WeightedOutput::Connect),
+            _ => continue, // a copy member, resolved below
+        };
+        rounds[v] = decided_rounds[v];
     }
 
-    // --- Copy components: flood the adjacent active node's output. ---
-    for comp in &dfree.copy_components {
-        let anchor = comp.anchor;
+    for comp in &components {
         // The active neighbor whose output is copied: the one that decides
         // first (ties broken by smaller ID) — any choice satisfies
         // property 5 of Definition 22.
-        let (source, color) = tree
-            .neighbors(anchor)
+        let source = tree
+            .neighbors(comp.anchor)
             .iter()
             .map(|&w| w as usize)
             .filter(|&w| kinds[w] == NodeKind::Active)
-            .map(|w| {
-                let c = match outputs[w] {
-                    Some(WeightedOutput::Active(c)) => c,
-                    _ => unreachable!("active nodes decided above"),
-                };
-                (w, c)
-            })
-            .min_by_key(|&(w, _)| (rounds[w], ids.id(w)))
+            .min_by_key(|&w| (rounds[w], ids.id(w)))
             .expect("an A-labeled weight node has an active neighbor");
-        let copy_color: ColorLabel = color;
-        // The anchor learns the output one round after the active node
-        // decides (and not before algorithm A fixed the copy set); it then
-        // floods through the component at one hop per round.
-        let start = rounds[source].max(dfree.radius) + 1;
+        let color = active.outputs[source].expect("active nodes decided above");
+        let start = rounds[source].max(comp.formed_round) + 1;
         for &(u, depth) in &comp.members {
-            outputs[u] = Some(WeightedOutput::Copy(copy_color));
-            rounds[u] = start + depth as u64;
+            outputs[u] = Some(WeightedOutput::Copy(color));
+            rounds[u] = start + u64::from(depth);
         }
     }
 
@@ -147,6 +138,36 @@ pub(crate) fn run_weighted(
         .map(|o| o.expect("every node decided"))
         .collect();
     AlgorithmRun::new(outputs, rounds)
+}
+
+/// The active side of every weighted construction: the generic coloring
+/// (`variant`, `gammas`) on each component the `Active` nodes induce, each
+/// with its own masked peeling. Entries of the other nodes are `None`.
+pub(crate) fn color_active_side(
+    tree: &Tree,
+    kinds: &[NodeKind],
+    k: usize,
+    variant: Variant,
+    gammas: &[usize],
+    ids: &Ids,
+) -> MaskedRun {
+    let n = tree.node_count();
+    let mut active = MaskedRun {
+        outputs: vec![None; n],
+        rounds: vec![0; n],
+    };
+    let active_mask =
+        NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Active));
+    for comp in induced_components(tree, &active_mask) {
+        let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
+        let levels = Levels::compute_masked(tree, &comp_mask, k);
+        let run = generic_coloring_masked(tree, &comp_mask, &levels, variant, gammas, ids);
+        for v in comp {
+            active.outputs[v] = run.outputs[v];
+            active.rounds[v] = run.rounds[v];
+        }
+    }
+    active
 }
 
 #[cfg(test)]

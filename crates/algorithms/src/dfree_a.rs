@@ -19,15 +19,22 @@ use lcl_core::dfree::{DfreeInput, DfreeOutput};
 use lcl_graph::{Bfs, NodeId, NodeMask, Tree};
 use lcl_local::math::ceil_log;
 
-/// One maximal connected copy component, grown around an `A`-node.
+/// One maximal connected copy component, grown around an `A`-node: the
+/// component type of both `d`-free weight solvers (algorithm `A` here and
+/// the [fast decomposition](crate::fast_decomposition)).
 #[derive(Debug, Clone)]
 pub struct CopyComponent {
     /// The `A`-node the component was grown around (Observation 39: each
     /// component contains exactly one).
     pub anchor: NodeId,
-    /// Members with their distance from the anchor (the anchor itself is
-    /// `(anchor, 0)`).
+    /// Members with their depth below the anchor (the anchor itself is
+    /// `(anchor, 0)`): the hop distance for algorithm `A`, the oriented
+    /// depth for the fast decomposition.
     pub members: Vec<(NodeId, u32)>,
+    /// Round at which the component is fixed: algorithm `A`'s uniform
+    /// radius, or the fast decomposition's round at which the anchor is
+    /// assigned. No member copies before it.
+    pub formed_round: u64,
 }
 
 /// Result of running algorithm `A` on the subgraph induced by a mask.
@@ -62,6 +69,7 @@ pub fn algorithm_a(
     assert!(d >= 1, "algorithm A needs d >= 1");
     let n = tree.node_count();
     let r = ceil_log((d + 1) as u64, n_hint as u64) as usize;
+    let radius = (3 * r + 3) as u64;
     let connect_budget = 2 * r + 2;
     let mut outputs: Vec<Option<DfreeOutput>> = vec![None; n];
 
@@ -100,7 +108,11 @@ pub fn algorithm_a(
                 outputs[u] = Some(DfreeOutput::Decline);
             }
         }
-        copy_components.push(CopyComponent { anchor: v, members });
+        copy_components.push(CopyComponent {
+            anchor: v,
+            members,
+            formed_round: radius,
+        });
     }
 
     // --- Everything else declines. ---
@@ -112,7 +124,7 @@ pub fn algorithm_a(
 
     DfreeRun {
         outputs,
-        radius: (3 * r + 3) as u64,
+        radius,
         copy_components,
     }
 }

@@ -32,6 +32,7 @@
 //! only declines ever adjacent to the anchor are its own borders and
 //! prunes (the invariant of Lemma 48: at most `2 + (d - 2) = d`).
 
+use crate::dfree_a::CopyComponent;
 use lcl_core::dfree::{DfreeInput, DfreeOutput};
 use lcl_graph::{induced_paths, Bfs, NodeId, NodeMask, Tree};
 use std::collections::VecDeque;
@@ -43,19 +44,6 @@ const ROUNDS_PER_ITERATION: u64 = 2;
 /// Relaxed compress threshold `ℓ`.
 const ELL: usize = 3;
 
-/// A pending copy component around an `A`-node, already reserve-pruned.
-#[derive(Debug, Clone)]
-pub struct PendingComponent {
-    /// The `A`-node the component formed around.
-    pub anchor: NodeId,
-    /// Iteration at which the anchor was assigned.
-    pub iteration: u32,
-    /// Members (including the anchor) with oriented depth from the anchor.
-    pub members: Vec<(NodeId, u32)>,
-    /// Round at which the component was fixed (`base(iteration)`).
-    pub formed_round: u64,
-}
-
 /// Result of the adapted fast decomposition on the weight subgraph.
 #[derive(Debug, Clone)]
 pub struct FastWeightRun {
@@ -65,8 +53,9 @@ pub struct FastWeightRun {
     pub outputs: Vec<Option<DfreeOutput>>,
     /// Termination rounds for the decided nodes.
     pub rounds: Vec<u64>,
-    /// Pending copy components, one per non-`Connect` `A`-node.
-    pub components: Vec<PendingComponent>,
+    /// Pending copy components, reserve-pruned, one per non-`Connect`
+    /// `A`-node.
+    pub components: Vec<CopyComponent>,
     /// Number of rake/compress iterations used (`O(log n)`).
     pub iterations: u32,
 }
@@ -91,7 +80,7 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
     let n = tree.node_count();
     let mut outputs: Vec<Option<DfreeOutput>> = vec![None; n];
     let mut rounds: Vec<u64> = vec![0; n];
-    let mut components: Vec<PendingComponent> = Vec::new();
+    let mut components: Vec<CopyComponent> = Vec::new();
     // Component index per A-node anchor (populated lazily on first claim).
     let mut component_of: Vec<Option<usize>> = vec![None; n];
     // `claimed` marks pending copy-component members; cascades skip them.
@@ -188,7 +177,6 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
                 up,
                 input,
                 d,
-                iteration,
                 base,
                 &oriented,
                 &mut outputs,
@@ -216,7 +204,6 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
                     &p.nodes,
                     input,
                     d,
-                    iteration,
                     base,
                     &mut remaining,
                     &mut remaining_count,
@@ -258,7 +245,6 @@ fn process_assigned(
     up: Option<NodeId>,
     input: &[DfreeInput],
     d: usize,
-    iteration: u32,
     base: u64,
     oriented: &[Vec<u32>],
     outputs: &mut [Option<DfreeOutput>],
@@ -266,7 +252,7 @@ fn process_assigned(
     pending: &mut NodeMask,
     claimed: &mut NodeMask,
     pending_size: &mut [u64],
-    components: &mut Vec<PendingComponent>,
+    components: &mut Vec<CopyComponent>,
     component_of: &mut [Option<usize>],
 ) {
     // Adapted rule 2: a border node (declined while unassigned) that now
@@ -298,11 +284,10 @@ fn process_assigned(
                 pending.remove(u);
             }
         }
-        let idx = component_index(v, iteration, components, component_of);
+        let idx = component_index(v, base, components, component_of);
         claimed.insert(v);
         components[idx].members.push((v, 0));
         claim_into(v, 0, idx, oriented, outputs, pending, claimed, components);
-        components[idx].iteration = iteration;
         components[idx].formed_round = base;
         return;
     }
@@ -311,7 +296,7 @@ fn process_assigned(
     // A-node attaches v and its reserve to that node's component.
     if let Some(u) = up {
         if input[u] == DfreeInput::Adjacent && outputs[u].is_none() {
-            let idx = component_index(u, iteration, components, component_of);
+            let idx = component_index(u, base, components, component_of);
             claimed.insert(v);
             components[idx].members.push((v, 1));
             claim_into(v, 1, idx, oriented, outputs, pending, claimed, components);
@@ -327,22 +312,22 @@ fn process_assigned(
     }
 }
 
-/// Looks up (or lazily registers) the component of an `A`-node anchor.
+/// Looks up (or lazily registers, formed at `base`) the component of an
+/// `A`-node anchor.
 fn component_index(
     anchor: NodeId,
-    iteration: u32,
-    components: &mut Vec<PendingComponent>,
+    base: u64,
+    components: &mut Vec<CopyComponent>,
     component_of: &mut [Option<usize>],
 ) -> usize {
     if let Some(idx) = component_of[anchor] {
         return idx;
     }
     let idx = components.len();
-    components.push(PendingComponent {
+    components.push(CopyComponent {
         anchor,
-        iteration,
         members: Vec::new(),
-        formed_round: base_round(iteration),
+        formed_round: base,
     });
     component_of[anchor] = Some(idx);
     idx
@@ -359,7 +344,7 @@ fn claim_into(
     outputs: &[Option<DfreeOutput>],
     pending: &mut NodeMask,
     claimed: &mut NodeMask,
-    components: &mut [PendingComponent],
+    components: &mut [CopyComponent],
 ) {
     let mut queue = VecDeque::new();
     queue.push_back((from, depth0));
@@ -384,7 +369,6 @@ fn compress_chain(
     chain: &[NodeId],
     input: &[DfreeInput],
     d: usize,
-    iteration: u32,
     base: u64,
     remaining: &mut NodeMask,
     remaining_count: &mut usize,
@@ -395,7 +379,7 @@ fn compress_chain(
     pending: &mut NodeMask,
     claimed: &mut NodeMask,
     pending_size: &mut [u64],
-    components: &mut Vec<PendingComponent>,
+    components: &mut Vec<CopyComponent>,
     component_of: &mut [Option<usize>],
 ) {
     let m = chain.len();
@@ -465,12 +449,11 @@ fn compress_chain(
             for &k in kids.iter().take(prune) {
                 cascade_decline(k, base, oriented, outputs, rounds, pending, claimed);
             }
-            let idx = component_index(c, iteration, components, component_of);
+            let idx = component_index(c, base, components, component_of);
             claimed.insert(c);
             pending.remove(c);
             components[idx].members.push((c, 0));
             claim_into(c, 0, idx, oriented, outputs, pending, claimed, components);
-            components[idx].iteration = iteration;
             components[idx].formed_round = base;
         } else if from_end >= ELL {
             // Adapted rule 4: deep interior declines with its reserves.
@@ -503,7 +486,7 @@ fn compress_chain(
         if !pending.contains(end) || claimed.contains(end) {
             continue;
         }
-        let idx_c = component_index(o, iteration, components, component_of);
+        let idx_c = component_index(o, base, components, component_of);
         claimed.insert(end);
         pending.remove(end);
         components[idx_c].members.push((end, 1));

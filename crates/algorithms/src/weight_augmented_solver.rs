@@ -8,17 +8,21 @@
 //! secondary output (one hop per round), while compress-labeled nodes
 //! decline — matching Lemma 68's `Ω(w)` copying mass, i.e. weight
 //! efficiency `x = 1`.
+//!
+//! The active side is the one [`apoly`](crate::apoly::apoly) and
+//! [`a35`](crate::a35::a35) run (`color_active_side`); the weight side is
+//! this solver's own, since its secondary outputs follow the labeling's
+//! orientation rather than `d`-free copy components.
 
-use crate::generic_coloring::generic_coloring_masked;
+use crate::apoly::color_active_side;
 use crate::labeling_solver::solve_hierarchical_labeling_rooted;
 use crate::run::AlgorithmRun;
 use lcl_core::coloring::{ColorLabel, Variant};
 use lcl_core::labeling::LabelingOutput;
 use lcl_core::weight_augmented::{AugmentedOutput, SecondaryOutput};
-use lcl_graph::levels::Levels;
 use lcl_graph::mask::extract_subtree;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeId, NodeMask, Tree};
+use lcl_graph::{induced_components, NodeMask, Tree};
 use lcl_local::identifiers::Ids;
 use lcl_local::math::powf_round;
 
@@ -43,36 +47,29 @@ pub fn solve_weight_augmented(
     assert!(k >= 1, "k must be at least 1");
     let n = tree.node_count();
     assert_eq!(kinds.len(), n, "kinds must cover all nodes");
-    let mut outputs: Vec<Option<AugmentedOutput>> = vec![None; n];
-    let mut rounds: Vec<u64> = vec![0; n];
 
     // --- Active side: generic 2½ with x = 1 parameters. ---
     let gamma = powf_round(n as f64, 1.0 / k as f64);
     let gammas = vec![gamma.max(1); k - 1];
-    let active_mask =
-        NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Active));
-    for comp in induced_components(tree, &active_mask) {
-        let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-        let levels = Levels::compute_masked(tree, &comp_mask, k);
-        let run =
-            generic_coloring_masked(tree, &comp_mask, &levels, Variant::TwoHalf, &gammas, ids);
-        for v in comp {
-            outputs[v] = Some(AugmentedOutput::Active(
-                run.outputs[v].expect("component fully decided"),
-            ));
-            rounds[v] = run.rounds[v];
-        }
-    }
-    let active_color = |outputs: &[Option<AugmentedOutput>], v: NodeId| match outputs[v] {
-        Some(AugmentedOutput::Active(c)) => c,
-        _ => unreachable!("active nodes decided above"),
-    };
+    let active = color_active_side(tree, kinds, k, Variant::TwoHalf, &gammas, ids);
+    let mut outputs: Vec<Option<AugmentedOutput>> = active
+        .outputs
+        .iter()
+        .map(|&c| c.map(AugmentedOutput::Active))
+        .collect();
+    let mut rounds = active.rounds;
 
     // --- Weight side: per-component hierarchical labeling + secondaries. ---
     let weight_mask =
         NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Weight));
+    // Local index of each node of the component at hand, refilled per
+    // component.
+    let mut local_of: Vec<usize> = vec![0; n];
     for comp in induced_components(tree, &weight_mask) {
         let (sub, mapping) = extract_subtree(tree, &comp);
+        for (local, &global) in mapping.iter().enumerate() {
+            local_of[global] = local;
+        }
         // Root the labeling at the attachment node (the component node
         // adjacent to an active node), so its orientation stays free for
         // Definition 67's rule 3.
@@ -125,12 +122,6 @@ pub fn solve_weight_augmented(
         // out-edge, and compress-labeled nodes (which decline).
         let mut secondary: Vec<Option<SecondaryOutput>> = vec![None; comp.len()];
         let mut ready: Vec<u64> = vec![0; comp.len()];
-        let local_of = |global: NodeId| -> usize {
-            mapping
-                .iter()
-                .position(|&g| g == global)
-                .expect("in component")
-        };
         // In-pointers within the component.
         let mut in_pointers: Vec<Vec<usize>> = vec![Vec::new(); comp.len()];
         let mut roots: Vec<usize> = Vec::new();
@@ -141,11 +132,12 @@ pub fn solve_weight_augmented(
                 .map(|p| tree.neighbors(global)[p] as usize);
             match target {
                 Some(t) if kinds[t] == NodeKind::Active => {
-                    secondary[local] = Some(SecondaryOutput::Color(active_color(&outputs, t)));
+                    let color = active.outputs[t].expect("active nodes decided above");
+                    secondary[local] = Some(SecondaryOutput::Color(color));
                     ready[local] = rounds[t].max(assign_round) + 1;
                     roots.push(local);
                 }
-                Some(t) => in_pointers[local_of(t)].push(local),
+                Some(t) => in_pointers[local_of[t]].push(local),
                 None => {
                     // No out-edge: free choice (rake) or decline (compress).
                     secondary[local] = Some(if labeling[local].label.is_compress() {

@@ -21,7 +21,7 @@
 //! on any path-expressible table, so the resolver always prefers the
 //! specialist and falls back to the generic solver otherwise.
 
-use crate::algorithm::{Algorithm, RunConfig, RunRecord, SessionScope};
+use crate::algorithm::{scale_gammas, Algorithm, RunConfig, RunRecord, SessionScope};
 use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
 use crate::planner::SolverFit;
 use lcl_algorithms::a35::a35;
@@ -93,36 +93,23 @@ pub fn run_on_construction_scaled(
     regime: WeightedRegime,
     multiplier: f64,
 ) -> AlgorithmRun<WeightedOutput> {
-    let n = construction.tree().node_count();
+    let (tree, kinds) = (construction.tree(), construction.kinds());
+    let n = tree.node_count();
     let delta = construction.delta();
-    let gammas = match regime {
+    match regime {
         WeightedRegime::Poly => {
             let x = lcl_core::landscape::efficiency_x(delta, d);
-            lcl_core::params::poly_gammas(n, x, k)
+            let gammas = scale_gammas(&lcl_core::params::poly_gammas(n, x, k), multiplier);
+            apoly(tree, kinds, k, d, &gammas, ids)
         }
         WeightedRegime::LogStar => {
             let x_prime = lcl_core::landscape::efficiency_x_prime(delta, d).min(1.0);
-            lcl_core::params::log_star_gammas(n, x_prime, k)
+            let gammas = scale_gammas(
+                &lcl_core::params::log_star_gammas(n, x_prime, k),
+                multiplier,
+            );
+            a35(tree, kinds, k, d, &gammas, ids)
         }
-    };
-    let gammas = crate::algorithm::scale_gammas(&gammas, multiplier);
-    match regime {
-        WeightedRegime::Poly => apoly(
-            construction.tree(),
-            construction.kinds(),
-            k,
-            d,
-            &gammas,
-            ids,
-        ),
-        WeightedRegime::LogStar => a35(
-            construction.tree(),
-            construction.kinds(),
-            k,
-            d,
-            &gammas,
-            ids,
-        ),
     }
 }
 
@@ -665,10 +652,10 @@ impl Algorithm for GenericColoring {
     }
 }
 
-/// Shared shim for the two weighted-construction algorithms.
+/// Shared shim for the two weighted-construction algorithms; the regime
+/// fixes the coloring variant the output is verified against.
 fn run_weighted(
     algo: &dyn Algorithm,
-    variant: Variant,
     regime: WeightedRegime,
     instance: &Instance,
     cfg: &RunConfig,
@@ -695,6 +682,10 @@ fn run_weighted(
     let ids = Ids::random(instance.node_count(), cfg.seed);
     let run = run_on_construction_scaled(construction, k, d, &ids, regime, cfg.gamma_multiplier);
     if cfg.verify {
+        let variant = match regime {
+            WeightedRegime::Poly => Variant::TwoHalf,
+            WeightedRegime::LogStar => Variant::ThreeHalf,
+        };
         let problem = WeightedColoring::new(variant, construction.delta(), d, k)
             .map_err(HarnessError::BadSpec)?;
         problem
@@ -765,7 +756,7 @@ impl Algorithm for Apoly {
     }
 
     fn run(&self, instance: &Instance, cfg: &RunConfig) -> Result<RunRecord, HarnessError> {
-        run_weighted(self, Variant::TwoHalf, WeightedRegime::Poly, instance, cfg)
+        run_weighted(self, WeightedRegime::Poly, instance, cfg)
     }
 }
 
@@ -828,13 +819,7 @@ impl Algorithm for A35 {
     }
 
     fn run(&self, instance: &Instance, cfg: &RunConfig) -> Result<RunRecord, HarnessError> {
-        run_weighted(
-            self,
-            Variant::ThreeHalf,
-            WeightedRegime::LogStar,
-            instance,
-            cfg,
-        )
+        run_weighted(self, WeightedRegime::LogStar, instance, cfg)
     }
 }
 

@@ -38,12 +38,13 @@ use lcl_core::weighted::WeightedOutput;
 use lcl_decidability::path_lcl::{PathClass, PathLcl};
 use lcl_graph::NodeMask;
 use lcl_harness::{
-    resolver, run_on_construction, Algorithm, Instance, InstanceKind, InstanceSpec, RunConfig,
-    WeightedRegime,
+    resolver, run_on_construction, Algorithm, Instance, InstanceKind, InstanceSpec, RoundBin,
+    RunConfig, WeightedRegime,
 };
 use lcl_local::engine::EngineConfig;
 use lcl_local::identifiers::Ids;
 use lcl_local::reference_engine::run_reference;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 // --- Independent copies of the adapters' stable label encodings. ---
@@ -383,6 +384,24 @@ fn differential_on(algo: &'static dyn Algorithm, spec: InstanceSpec, problem: Op
         let plan = oracle(algo, &instance, &base);
         assert_eq!(plan.labels.len(), n, "{ctx}: oracle labels");
         assert_eq!(plan.rounds.len(), n, "{ctx}: oracle rounds");
+        // The summary every record must carry, from the oracle's rounds by
+        // definition rather than through `TerminationProfile`: a count per
+        // round, the `⌈n/2⌉`-th smallest round, the exact sum over `n` and
+        // the largest round.
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
+        for &r in &plan.rounds {
+            *counts.entry(r).or_insert(0) += 1;
+        }
+        let histogram: Vec<RoundBin> = counts
+            .into_iter()
+            .map(|(round, count)| RoundBin { round, count })
+            .collect();
+        let mut sorted = plan.rounds.clone();
+        sorted.sort_unstable();
+        let median = sorted[n.div_ceil(2) - 1];
+        let total: u128 = plan.rounds.iter().map(|&r| u128::from(r)).sum();
+        let node_averaged = total as f64 / n as f64;
+        let worst_case = sorted[n - 1];
 
         // Frozen pre-chunking engine, same protocol, same outcome.
         reference_check(algo, &instance, &base, &plan, &ctx);
@@ -407,23 +426,19 @@ fn differential_on(algo: &'static dyn Algorithm, spec: InstanceSpec, problem: Op
             assert!(record.verified, "{ctx}: verification cs={chunk_size}");
             assert_eq!(record.labels, plan.labels, "{ctx}: labels cs={chunk_size}");
             assert_eq!(record.rounds, plan.rounds, "{ctx}: rounds cs={chunk_size}");
-            // The serialized histogram/median must agree with the raw
-            // per-node rounds they summarize.
-            let profile = record.profile();
             assert_eq!(
-                record
-                    .histogram
-                    .iter()
-                    .map(|b| (b.round, b.count))
-                    .collect::<Vec<_>>(),
-                profile.nonzero_bins(),
-                "{ctx}: histogram"
+                record.histogram, histogram,
+                "{ctx}: histogram cs={chunk_size}"
             );
-            assert_eq!(record.median_round, profile.quantile(0.5), "{ctx}: median");
+            assert_eq!(record.median_round, median, "{ctx}: median cs={chunk_size}");
             assert_eq!(
-                record.histogram.iter().map(|b| b.count).sum::<u64>(),
-                n as u64,
-                "{ctx}: histogram mass"
+                record.node_averaged.to_bits(),
+                node_averaged.to_bits(),
+                "{ctx}: node average cs={chunk_size}"
+            );
+            assert_eq!(
+                record.worst_case, worst_case,
+                "{ctx}: worst case cs={chunk_size}"
             );
         }
     }

@@ -85,10 +85,12 @@ fn run_records_serialize_byte_stably() {
     );
 }
 
-/// One deterministic fixture per adversarial shape family, each run by a
-/// free-tree solver that supports the `Adversarial` kind. Same
-/// `UPDATE_GOLDEN=1` regeneration protocol as the registry fixtures.
-fn adversarial_golden_cases() -> Vec<(&'static str, &'static str, InstanceSpec)> {
+/// Fixtures pinned on an explicit spec rather than on a solver's smallest
+/// one: one per adversarial shape family, each run by a free-tree solver
+/// that supports the `Adversarial` kind, and the three weighted solvers at
+/// hierarchy depth k = 3, which the registry fixtures pin only at k = 2.
+/// Same `UPDATE_GOLDEN=1` regeneration protocol as the registry fixtures.
+fn spec_golden_cases() -> Vec<(&'static str, &'static str, InstanceSpec)> {
     vec![
         (
             "adversarial-caterpillar",
@@ -129,6 +131,35 @@ fn adversarial_golden_cases() -> Vec<(&'static str, &'static str, InstanceSpec)>
             "labeling-solver",
             InstanceSpec::HeavyPath { n: 48 },
         ),
+        (
+            "apoly-k3",
+            "apoly",
+            InstanceSpec::WeightedPoly {
+                n: 2_000,
+                delta: 5,
+                d: 2,
+                k: 3,
+            },
+        ),
+        (
+            "a35-k3",
+            "a35",
+            InstanceSpec::WeightedLogStar {
+                n: 2_000,
+                delta: 6,
+                d: 3,
+                k: 3,
+            },
+        ),
+        (
+            "weight-augmented-k3",
+            "weight-augmented",
+            InstanceSpec::WeightedUnit {
+                n: 2_000,
+                delta: 5,
+                k: 3,
+            },
+        ),
     ]
 }
 
@@ -140,9 +171,9 @@ fn adversarial_records_serialize_byte_stably() {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }
     let mut failures = Vec::new();
-    for (fixture, algo_name, spec) in adversarial_golden_cases() {
+    for (fixture, algo_name, spec) in spec_golden_cases() {
         let algo = resolver().find(algo_name).expect("registered solver");
-        let instance = spec.build().expect("adversarial spec builds");
+        let instance = spec.build().expect("golden spec builds");
         let record = algo
             .run(&instance, &RunConfig::seeded(GOLDEN_SEED))
             .unwrap_or_else(|e| panic!("{algo_name} on {}: {e}", spec.describe()));
@@ -166,7 +197,7 @@ fn adversarial_records_serialize_byte_stably() {
     }
     assert!(
         failures.is_empty(),
-        "adversarial RunRecord serialization drifted for {failures:?}; if \
+        "spec-pinned RunRecord serialization drifted for {failures:?}; if \
          intentional, regenerate with UPDATE_GOLDEN=1 and review the fixture diff"
     );
 }
