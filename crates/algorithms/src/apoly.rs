@@ -17,7 +17,7 @@ use lcl_core::dfree::{DfreeInput, DfreeOutput};
 use lcl_core::weighted::WeightedOutput;
 use lcl_graph::levels::Levels;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeMask, Tree};
+use lcl_graph::{NodeMask, Tree};
 use lcl_local::identifiers::Ids;
 
 /// Runs `A_poly` on an `Active`/`Weight`-labeled tree.
@@ -141,8 +141,10 @@ pub(crate) fn run_weighted(
 }
 
 /// The active side of every weighted construction: the generic coloring
-/// (`variant`, `gammas`) on each component the `Active` nodes induce, each
-/// with its own masked peeling. Entries of the other nodes are `None`.
+/// (`variant`, `gammas`) on the subgraph the `Active` nodes induce, with
+/// its masked peeling. Peeling, paths and exemption waves stay inside a
+/// component, so every component runs as it would alone. Entries of the
+/// other nodes are `None`.
 pub(crate) fn color_active_side(
     tree: &Tree,
     kinds: &[NodeKind],
@@ -152,22 +154,10 @@ pub(crate) fn color_active_side(
     ids: &Ids,
 ) -> MaskedRun {
     let n = tree.node_count();
-    let mut active = MaskedRun {
-        outputs: vec![None; n],
-        rounds: vec![0; n],
-    };
     let active_mask =
         NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Active));
-    for comp in induced_components(tree, &active_mask) {
-        let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-        let levels = Levels::compute_masked(tree, &comp_mask, k);
-        let run = generic_coloring_masked(tree, &comp_mask, &levels, variant, gammas, ids);
-        for v in comp {
-            active.outputs[v] = run.outputs[v];
-            active.rounds[v] = run.rounds[v];
-        }
-    }
-    active
+    let levels = Levels::compute_masked(tree, &active_mask, k);
+    generic_coloring_masked(tree, &active_mask, &levels, variant, gammas, ids)
 }
 
 #[cfg(test)]

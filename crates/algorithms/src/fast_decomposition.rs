@@ -195,13 +195,13 @@ pub fn fast_dfree(tree: &Tree, mask: &NodeMask, input: &[DfreeInput], d: usize) 
         // ---- Compress pass (relaxed, chains of length >= ELL). ----
         let chain_mask = NodeMask::from_nodes(n, remaining.iter().filter(|&v| degree[v] == 2));
         if !chain_mask.is_empty() {
-            for p in induced_paths(tree, &chain_mask) {
-                if p.nodes.len() < ELL {
+            for chain in induced_paths(tree, &chain_mask) {
+                if chain.len() < ELL {
                     continue;
                 }
                 compress_chain(
                     tree,
-                    &p.nodes,
+                    &chain,
                     input,
                     d,
                     base,

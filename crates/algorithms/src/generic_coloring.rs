@@ -104,8 +104,8 @@ pub fn generic_coloring_masked(
         Variant::TwoHalf => {
             let mask_k = NodeMask::from_nodes(n, undecided.iter());
             for p in induced_paths(tree, &mask_k) {
-                color_path_two(&p.nodes, ids, phase_start, &mut outputs, &mut rounds);
-                for &v in &p.nodes {
+                color_path_two(&p, ids, phase_start, &mut outputs, &mut rounds);
+                for &v in &p {
                     undecided.remove(v);
                 }
             }
@@ -176,15 +176,15 @@ fn fix_level_paths(
     }
     for p in induced_paths(tree, &level_mask) {
         let gamma = threshold.expect("phase i < k always has a parameter");
-        if p.nodes.len() >= gamma {
-            for &v in &p.nodes {
+        if p.len() >= gamma {
+            for &v in &p {
                 outputs[v] = Some(ColorLabel::Decline);
                 rounds[v] = phase_start + gamma as u64;
                 undecided.remove(v);
             }
         } else {
-            color_path_two(&p.nodes, ids, phase_start, outputs, rounds);
-            for &v in &p.nodes {
+            color_path_two(&p, ids, phase_start, outputs, rounds);
+            for &v in &p {
                 undecided.remove(v);
             }
         }

@@ -20,9 +20,8 @@ use crate::run::AlgorithmRun;
 use lcl_core::coloring::{ColorLabel, Variant};
 use lcl_core::labeling::LabelingOutput;
 use lcl_core::weight_augmented::{AugmentedOutput, SecondaryOutput};
-use lcl_graph::mask::extract_subtree;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeMask, Tree};
+use lcl_graph::{extract_components, NodeMask, Tree};
 use lcl_local::identifiers::Ids;
 use lcl_local::math::powf_round;
 
@@ -62,14 +61,8 @@ pub fn solve_weight_augmented(
     // --- Weight side: per-component hierarchical labeling + secondaries. ---
     let weight_mask =
         NodeMask::from_nodes(n, tree.nodes().filter(|&v| kinds[v] == NodeKind::Weight));
-    // Local index of each node of the component at hand, refilled per
-    // component.
-    let mut local_of: Vec<usize> = vec![0; n];
-    for comp in induced_components(tree, &weight_mask) {
-        let (sub, mapping) = extract_subtree(tree, &comp);
-        for (local, &global) in mapping.iter().enumerate() {
-            local_of[global] = local;
-        }
+    for comp in extract_components(tree, &weight_mask) {
+        let (sub, mapping) = (comp.tree, comp.nodes);
         // Root the labeling at the attachment node (the component node
         // adjacent to an active node), so its orientation stays free for
         // Definition 67's rule 3.
@@ -82,7 +75,7 @@ pub fn solve_weight_augmented(
 
         // Translate ports back to the full tree and apply rule 3: nodes
         // adjacent to an active node re-orient toward it.
-        let mut labeling: Vec<LabelingOutput> = Vec::with_capacity(comp.len());
+        let mut labeling: Vec<LabelingOutput> = Vec::with_capacity(mapping.len());
         for (local, &global) in mapping.iter().enumerate() {
             let out = solution.run.outputs[local];
             let port = out.out_port.map(|p| {
@@ -120,10 +113,10 @@ pub fn solve_weight_augmented(
         // Secondary outputs: process along oriented chains. Roots are
         // nodes pointing at an active node (copy its color), nodes with no
         // out-edge, and compress-labeled nodes (which decline).
-        let mut secondary: Vec<Option<SecondaryOutput>> = vec![None; comp.len()];
-        let mut ready: Vec<u64> = vec![0; comp.len()];
+        let mut secondary: Vec<Option<SecondaryOutput>> = vec![None; mapping.len()];
+        let mut ready: Vec<u64> = vec![0; mapping.len()];
         // In-pointers within the component.
-        let mut in_pointers: Vec<Vec<usize>> = vec![Vec::new(); comp.len()];
+        let mut in_pointers: Vec<Vec<usize>> = vec![Vec::new(); mapping.len()];
         let mut roots: Vec<usize> = Vec::new();
         for (local, &global) in mapping.iter().enumerate() {
             let assign_round = solution.run.rounds[local];
@@ -137,7 +130,11 @@ pub fn solve_weight_augmented(
                     ready[local] = rounds[t].max(assign_round) + 1;
                     roots.push(local);
                 }
-                Some(t) => in_pointers[local_of[t]].push(local),
+                Some(_) => {
+                    // A weight target is the labeling's own out-edge.
+                    let p = solution.run.outputs[local].out_port.expect("own out-edge");
+                    in_pointers[sub.neighbors(local)[p] as usize].push(local);
+                }
                 None => {
                     // No out-edge: free choice (rake) or decline (compress).
                     secondary[local] = Some(if labeling[local].label.is_compress() {

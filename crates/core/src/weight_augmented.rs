@@ -12,7 +12,7 @@ use crate::labeling::{HierarchicalLabeling, LabelingOutput};
 use crate::problem::{check_labeling_shape, LclProblem, Violation};
 use lcl_graph::levels::Levels;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeId, NodeMask, Tree};
+use lcl_graph::{NodeId, NodeMask, Tree};
 use std::fmt;
 
 /// Secondary output of a weight node.
@@ -122,13 +122,11 @@ impl LclProblem for WeightAugmented {
             _ => unreachable!("checked by alphabet discipline"),
         };
 
-        // Rule 1: active components solve k-hierarchical 2½-coloring.
+        // Rule 1: active components solve k-hierarchical 2½-coloring, with
+        // levels computed inside each component.
         let coloring = HierarchicalColoring::new(self.k, Variant::TwoHalf);
-        for comp in induced_components(tree, &active_mask) {
-            let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-            let levels = Levels::compute_masked(tree, &comp_mask, self.k);
-            coloring.verify_masked(tree, &comp_mask, &levels, active_color)?;
-        }
+        let levels = Levels::compute_masked(tree, &active_mask, self.k);
+        coloring.verify_masked(tree, &active_mask, &levels, active_color)?;
 
         // Rule 2: weight components solve k-hierarchical labeling.
         let labeling = HierarchicalLabeling::new(self.k);

@@ -11,7 +11,7 @@ use crate::coloring::{ColorLabel, HierarchicalColoring, Variant};
 use crate::problem::{check_labeling_shape, LclProblem, Violation};
 use lcl_graph::levels::Levels;
 use lcl_graph::weighted::NodeKind;
-use lcl_graph::{induced_components, NodeMask, Tree};
+use lcl_graph::{NodeMask, Tree};
 use std::fmt;
 
 /// Input alphabet of `Π^{Z}_{Δ,d,k}`: `Active` or `Weight`.
@@ -174,14 +174,11 @@ impl LclProblem for WeightedColoring {
         // Property 1: active components satisfy k-hierarchical Z-coloring,
         // with levels computed inside each component.
         let coloring = HierarchicalColoring::new(self.k, self.variant);
-        for comp in induced_components(tree, &active_mask) {
-            let comp_mask = NodeMask::from_nodes(n, comp.iter().copied());
-            let levels = Levels::compute_masked(tree, &comp_mask, self.k);
-            coloring.verify_masked(tree, &comp_mask, &levels, |v| match output[v] {
-                WeightedOutput::Active(c) => c,
-                _ => unreachable!("active component holds active outputs"),
-            })?;
-        }
+        let levels = Levels::compute_masked(tree, &active_mask, self.k);
+        coloring.verify_masked(tree, &active_mask, &levels, |v| match output[v] {
+            WeightedOutput::Active(c) => c,
+            _ => unreachable!("active component holds active outputs"),
+        })?;
 
         // Weight-node properties 2-5.
         for v in tree.nodes() {

@@ -13,7 +13,7 @@
 //! treatment of Section 11.7.
 
 use crate::bfs::Bfs;
-use crate::mask::{induced_components, NodeMask};
+use crate::mask::{induced_components, induced_paths, NodeMask};
 use crate::tree::{NodeId, Tree};
 
 /// Which part of the decomposition a node belongs to.
@@ -193,8 +193,7 @@ impl Decomposition {
                     .iter()
                     .filter(|&v| degree[v] == 2 && pinned != Some(v)),
             );
-            let chains = ordered_chains(tree, &chain_mask);
-            for chain in chains {
+            for chain in induced_paths(tree, &chain_mask) {
                 if chain.len() < params.ell {
                     continue;
                 }
@@ -465,15 +464,6 @@ fn split_chain(chain: &[NodeId], ell: usize) -> Vec<ChainPart> {
         parts.push(ChainPart::Splitter(rest[ell]));
         rest = &rest[ell + 1..];
     }
-}
-
-/// Orders each component of `mask` (all of which are paths in a tree when
-/// the mask holds degree-2 chains) end to end.
-fn ordered_chains(tree: &Tree, mask: &NodeMask) -> Vec<Vec<NodeId>> {
-    crate::mask::induced_paths(tree, mask)
-        .into_iter()
-        .map(|p| p.nodes)
-        .collect()
 }
 
 fn recompute_boundary_degrees(tree: &Tree, remaining: &NodeMask, degree: &mut [usize]) {

@@ -7,7 +7,7 @@
 //! nodes are removed simultaneously, each level `i ≤ k` induces a disjoint
 //! union of paths.
 
-use crate::mask::{induced_paths, InducedPath, NodeMask};
+use crate::mask::{induced_paths, NodeMask};
 use crate::tree::{NodeId, Tree};
 
 /// The level assignment of every node of a tree, for a fixed `k`.
@@ -128,7 +128,7 @@ impl Levels {
     /// # Panics
     ///
     /// Panics if `i == 0` or `i > k`.
-    pub fn paths_at(&self, tree: &Tree, i: usize) -> Vec<InducedPath> {
+    pub fn paths_at(&self, tree: &Tree, i: usize) -> Vec<Vec<NodeId>> {
         assert!(
             (1..=self.k).contains(&i),
             "level-{i} paths undefined (k = {})",

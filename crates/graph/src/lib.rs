@@ -8,8 +8,9 @@
 //!   LOCAL-model algorithms ([`tree`]),
 //! - the one breadth-first search, [`Bfs`], reusable across the masked,
 //!   radius-bounded searches of a solver call ([`bfs`]),
-//! - [`NodeMask`]-based induced-subgraph utilities, including extraction of
-//!   path-shaped components ([`mask`]),
+//! - [`NodeMask`] and the one home of induced subgraphs ([`mask`]): their
+//!   components as node lists, as paths ordered end to end, or extracted as
+//!   standalone trees that keep the ambient port order,
 //! - elementary and random tree [`generators`], including the balanced
 //!   Δ-regular weight gadgets of the paper's weighted constructions,
 //! - the level-peeling process of Definition 8 ([`levels`]),
@@ -20,8 +21,8 @@
 //!   and relaxed (Definition 43), with full property validation
 //!   ([`decompose`]),
 //! - port-preserving tree [`surgery`] — seeded churn batches (leaf
-//!   insertions, subtree deletions, edge re-hangs) and dirty-region
-//!   component extraction for incremental re-solving.
+//!   insertions, subtree deletions, edge re-hangs) for incremental
+//!   re-solving.
 //!
 //! # Examples
 //!
@@ -52,9 +53,6 @@ pub mod weighted;
 
 pub use bfs::Bfs;
 pub use error::TreeError;
-pub use mask::{induced_components, induced_paths, InducedPath, NodeMask};
-pub use surgery::{
-    churn_batch, extract_components, BatchResult, OpWeights, RegionComponent, ShapeDiscipline,
-    Surgeon, TreeOp,
-};
+pub use mask::{extract_components, induced_components, induced_paths, Component, NodeMask};
+pub use surgery::{churn_batch, BatchResult, OpWeights, ShapeDiscipline, Surgeon, TreeOp};
 pub use tree::{NodeId, Tree, TreeBuilder};

@@ -1,7 +1,14 @@
-//! Node masks and induced-subgraph utilities.
+//! Node masks and induced subgraphs.
 //!
 //! The generic algorithms of the paper repeatedly operate on "the subgraph of
 //! nodes that did not yet output a label"; [`NodeMask`] is that working set.
+//! The weighted constructions (Definitions 22 and 25) work on the subgraphs
+//! the active and the weight nodes induce. This module is where every such
+//! subgraph is built: [`induced_components`] lists a mask's components,
+//! [`induced_paths`] orders path-shaped ones end to end, and
+//! [`extract_components`] turns each component into a standalone [`Tree`]
+//! with the ambient port order (the form a solver or a dirty-region
+//! re-solve runs on).
 
 use crate::tree::{NodeId, Tree};
 
@@ -129,33 +136,6 @@ impl NodeMask {
     }
 }
 
-/// Extracts a connected set of nodes as a standalone [`Tree`], returning
-/// the new tree and the mapping from new node ids to original ids.
-///
-/// # Panics
-///
-/// Panics if `nodes` does not induce a connected subtree.
-pub fn extract_subtree(tree: &Tree, nodes: &[NodeId]) -> (Tree, Vec<NodeId>) {
-    let mut index = std::collections::HashMap::with_capacity(nodes.len());
-    for (new, &old) in nodes.iter().enumerate() {
-        index.insert(old, new);
-    }
-    let mut builder = crate::tree::TreeBuilder::new(nodes.len());
-    for (new, &old) in nodes.iter().enumerate() {
-        for &w in tree.neighbors(old) {
-            if let Some(&other) = index.get(&(w as usize)) {
-                if new < other {
-                    builder.add_edge(new, other);
-                }
-            }
-        }
-    }
-    let sub = builder
-        .build()
-        .expect("extracted nodes must induce a connected subtree");
-    (sub, nodes.to_vec())
-}
-
 /// Connected components of the subgraph of `tree` induced by `mask`.
 ///
 /// Returns one `Vec<NodeId>` per component; within a component nodes appear
@@ -186,33 +166,43 @@ pub fn induced_components(tree: &Tree, mask: &NodeMask) -> Vec<Vec<NodeId>> {
     components
 }
 
-/// A path-shaped induced component, with its nodes listed end to end.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InducedPath {
-    /// Nodes in path order; `nodes[0]` and `nodes.last()` are the endpoints.
+/// One component of an induced subgraph, as a standalone tree.
+#[derive(Debug, Clone)]
+pub struct Component {
+    /// The component as a tree; node `i` of it is node `nodes[i]` of the
+    /// ambient tree, with ports in the same relative order (ports that
+    /// leave the mask are dropped).
+    pub tree: Tree,
+    /// Ambient node ids, indexed by component-local node id.
     pub nodes: Vec<NodeId>,
 }
 
-impl InducedPath {
-    /// Number of nodes on the path.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True for the (impossible in practice) empty path.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The two endpoints (equal for a single-node path).
-    pub fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.nodes[0], *self.nodes.last().expect("non-empty path"))
-    }
-
-    /// Position of `v` along the path, if present.
-    pub fn position(&self, v: NodeId) -> Option<usize> {
-        self.nodes.iter().position(|&u| u == v)
-    }
+/// The components of `tree[mask]` as standalone trees, in
+/// [`induced_components`] order (by smallest member, nodes in BFS order
+/// from it). The iterator builds each tree only when it is reached.
+pub fn extract_components<'a>(
+    tree: &'a Tree,
+    mask: &'a NodeMask,
+) -> impl Iterator<Item = Component> + 'a {
+    let mut local = vec![0u32; tree.node_count()];
+    induced_components(tree, mask)
+        .into_iter()
+        .map(move |nodes| {
+            for (i, &v) in nodes.iter().enumerate() {
+                local[v] = i as u32;
+            }
+            let mut offsets = Vec::with_capacity(nodes.len() + 1);
+            offsets.push(0u32);
+            let mut adjacency = Vec::with_capacity(2 * (nodes.len() - 1));
+            for &v in &nodes {
+                let ports = tree.neighbors(v).iter().map(|&w| w as usize);
+                adjacency.extend(ports.filter(|&w| mask.contains(w)).map(|w| local[w]));
+                offsets.push(adjacency.len() as u32);
+            }
+            let tree =
+                Tree::from_csr(offsets, adjacency).expect("induced component of a tree is a tree");
+            Component { tree, nodes }
+        })
 }
 
 /// Extracts the components of `tree[mask]` and orders each as a path.
@@ -222,17 +212,17 @@ impl InducedPath {
 /// Panics if some component of the induced subgraph is not a path (i.e. has
 /// a node of induced degree `> 2`). The callers in this workspace only use
 /// it on level-`i` sets, which Definition 8 of the paper guarantees to be
-/// disjoint unions of paths.
-pub fn induced_paths(tree: &Tree, mask: &NodeMask) -> Vec<InducedPath> {
+/// disjoint unions of paths, and on degree-2 chains.
+pub fn induced_paths(tree: &Tree, mask: &NodeMask) -> Vec<Vec<NodeId>> {
     induced_components(tree, mask)
         .into_iter()
         .map(|comp| order_component_as_path(tree, mask, comp))
         .collect()
 }
 
-fn order_component_as_path(tree: &Tree, mask: &NodeMask, comp: Vec<NodeId>) -> InducedPath {
+fn order_component_as_path(tree: &Tree, mask: &NodeMask, comp: Vec<NodeId>) -> Vec<NodeId> {
     if comp.len() == 1 {
-        return InducedPath { nodes: comp };
+        return comp;
     }
     let mut endpoint: Option<NodeId> = None;
     for &v in &comp {
@@ -270,7 +260,7 @@ fn order_component_as_path(tree: &Tree, mask: &NodeMask, comp: Vec<NodeId>) -> I
         comp.len(),
         "path walk must cover the component"
     );
-    InducedPath { nodes }
+    nodes
 }
 
 #[cfg(test)]
@@ -343,24 +333,14 @@ mod tests {
         let t = path(6);
         let mut m = NodeMask::full(6);
         m.remove(2);
-        let mut ps = induced_paths(&t, &m);
-        ps.sort_by_key(|p| p.nodes[0]);
-        assert_eq!(ps[0].nodes, vec![0, 1]);
-        assert_eq!(ps[1].nodes, vec![3, 4, 5]);
-        assert_eq!(ps[1].endpoints(), (3, 5));
-        assert_eq!(ps[1].position(4), Some(1));
-        assert_eq!(ps[1].position(0), None);
+        assert_eq!(induced_paths(&t, &m), vec![vec![0, 1], vec![3, 4, 5]]);
     }
 
     #[test]
     fn singleton_path_component() {
         let t = path(3);
         let m = NodeMask::from_nodes(3, [1]);
-        let ps = induced_paths(&t, &m);
-        assert_eq!(ps.len(), 1);
-        assert_eq!(ps[0].len(), 1);
-        assert_eq!(ps[0].endpoints(), (1, 1));
-        assert!(!ps[0].is_empty());
+        assert_eq!(induced_paths(&t, &m), vec![vec![1]]);
     }
 
     #[test]
@@ -372,21 +352,21 @@ mod tests {
     }
 
     #[test]
-    fn extract_subtree_preserves_structure() {
-        let t = path(6);
-        let (sub, mapping) = extract_subtree(&t, &[2, 3, 4]);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(mapping, vec![2, 3, 4]);
-        // New ids follow the given order: 0<->2, 1<->3, 2<->4.
-        assert_eq!(sub.degree(0), 1);
-        assert_eq!(sub.degree(1), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "connected subtree")]
-    fn extract_disconnected_panics() {
-        let t = path(6);
-        let _ = extract_subtree(&t, &[0, 5]);
+    fn extract_components_preserves_ports_and_splits() {
+        let t = path(10);
+        // Members {0,1,2} ∪ {5,6}: two components.
+        let mask = NodeMask::from_nodes(10, [6, 0, 1, 2, 5]);
+        let comps: Vec<Component> = extract_components(&t, &mask).collect();
+        assert_eq!(comps.len(), 2);
+        assert_eq!(comps[0].nodes, vec![0, 1, 2]);
+        assert_eq!(comps[0].tree.node_count(), 3);
+        assert_eq!(comps[1].nodes, vec![5, 6]);
+        // Port order: node 1's ports in the path are [0, 2].
+        assert_eq!(comps[0].tree.neighbors(1), &[0, 2]);
+        // Singleton component.
+        let single = NodeMask::from_nodes(10, [4]);
+        let comps: Vec<Component> = extract_components(&t, &single).collect();
+        assert_eq!(comps.len(), 1);
+        assert_eq!(comps[0].tree.node_count(), 1);
     }
 }

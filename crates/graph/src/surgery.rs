@@ -1,6 +1,8 @@
 //! Tree surgery for dynamic (churn) workloads: seeded batches of leaf
 //! insertions, subtree deletions, and edge re-hangs that keep the instance a
-//! valid tree, plus port-preserving extraction of dirty-region components.
+//! valid tree. A dirty region is re-solved on its components, which
+//! [`extract_components`](crate::mask::extract_components) builds with the
+//! same port order.
 //!
 //! The invariant that makes incremental re-solving sound is **port-order
 //! stability**: a node untouched by a batch must present exactly the same
@@ -11,7 +13,6 @@
 //! finalizes through [`Tree::from_csr`], never through an edge-list rebuild.
 
 use crate::error::TreeError;
-use crate::mask::NodeMask;
 use crate::tree::{NodeId, Tree};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -630,54 +631,6 @@ fn insert_free(
     }
 }
 
-/// One connected component of an extracted dirty region.
-#[derive(Debug, Clone)]
-pub struct RegionComponent {
-    /// The induced component as a standalone tree; node `i` of it is node
-    /// `nodes[i]` of the ambient tree, with ports in the same relative
-    /// order (boundary nodes simply lose their out-of-region ports).
-    pub tree: Tree,
-    /// Ambient node ids, indexed by component-local node id.
-    pub nodes: Vec<NodeId>,
-}
-
-/// Extracts the subgraph of `tree` induced by `members` as standalone
-/// per-component trees whose port order matches the ambient tree.
-///
-/// `members` must induce a forest (always true for subsets of a tree);
-/// components are returned in order of their smallest member, with nodes in
-/// BFS order from that member — fully deterministic.
-#[must_use]
-pub fn extract_components(tree: &Tree, members: &[NodeId]) -> Vec<RegionComponent> {
-    let mut mask = NodeMask::empty(tree.node_count());
-    for &v in members {
-        mask.insert(v);
-    }
-    let mut local = vec![u32::MAX; tree.node_count()];
-    crate::mask::induced_components(tree, &mask)
-        .into_iter()
-        .map(|nodes| {
-            for (i, &v) in nodes.iter().enumerate() {
-                local[v] = i as u32;
-            }
-            let mut offsets = Vec::with_capacity(nodes.len() + 1);
-            offsets.push(0u32);
-            let mut adjacency = Vec::new();
-            for &v in &nodes {
-                for &w in tree.neighbors(v) {
-                    if mask.contains(w as usize) {
-                        adjacency.push(local[w as usize]);
-                    }
-                }
-                offsets.push(adjacency.len() as u32);
-            }
-            let comp =
-                Tree::from_csr(offsets, adjacency).expect("induced component of a tree is a tree");
-            RegionComponent { tree: comp, nodes }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,23 +735,5 @@ mod tests {
         assert!(a.tree.max_degree() <= 4, "degree bound violated");
         assert!(a.tree.node_count() >= 32);
         assert_eq!(a.ops.len(), 60);
-    }
-
-    #[test]
-    fn extract_components_preserves_ports_and_splits() {
-        let t = path(10);
-        // Members {0,1,2} ∪ {5,6}: two components.
-        let comps = extract_components(&t, &[6, 0, 1, 2, 5]);
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0].nodes, vec![0, 1, 2]);
-        assert_eq!(comps[0].tree.node_count(), 3);
-        assert_eq!(comps[1].nodes, vec![5, 6]);
-        // Singleton region.
-        let single = extract_components(&t, &[4]);
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0].tree.node_count(), 1);
-        // Port order: node 1's ports in the path are [0, 2].
-        let full = extract_components(&t, &[0, 1, 2]);
-        assert_eq!(full[0].tree.neighbors(1), &[0, 2]);
     }
 }

@@ -137,15 +137,13 @@ impl Tree {
                 "adjacency is not mutual: some directed edge has no reverse".into(),
             ));
         }
-        for v in 0..n {
-            let mut nb: Vec<u32> = tree.neighbors(v).to_vec();
-            nb.sort_unstable();
-            if let Some(w) = nb.windows(2).find(|w| w[0] == w[1]) {
-                return Err(TreeError::InvalidEdge {
-                    u: v,
-                    v: w[0] as usize,
-                });
-            }
+        // A repeated port shows up as adjacent equal entries of the sorted
+        // list: the first is the smallest node's smallest repeated neighbor.
+        if let Some(w) = fwd.windows(2).find(|w| w[0] == w[1]) {
+            return Err(TreeError::InvalidEdge {
+                u: w[0].0 as usize,
+                v: w[0].1 as usize,
+            });
         }
         // Connectivity: n - 1 mutual, duplicate-free edges + connected ⇒ tree.
         let reached = tree
@@ -596,6 +594,11 @@ mod tests {
         assert!(Tree::from_csr(vec![0, 2, 3, 4], vec![1, 1, 0, 0]).is_err());
         // Disconnected two-cycle + isolated pair is caught by mutuality/dup.
         assert!(Tree::from_csr(vec![0, 1, 2, 4], vec![1, 0, 1, 1]).is_err());
+        // A doubled edge is mutual; it is reported at its smaller endpoint.
+        assert!(matches!(
+            Tree::from_csr(vec![0, 2, 4, 4], vec![1, 1, 0, 0]),
+            Err(TreeError::InvalidEdge { u: 0, v: 1 })
+        ));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use lcl_graph::decompose::{Decomposition, RakeCompressParams};
 use lcl_graph::generators::random_bounded_degree_tree;
 use lcl_graph::hierarchical::LowerBoundGraph;
 use lcl_graph::levels::Levels;
-use lcl_graph::{induced_paths, Bfs, NodeMask, Tree, TreeBuilder};
+use lcl_graph::{extract_components, induced_paths, Bfs, NodeMask, Tree, TreeBuilder};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -275,6 +275,69 @@ proptest! {
         if ok {
             let total: usize = induced_paths(&tree, &mask).iter().map(|p| p.len()).sum();
             prop_assert_eq!(total, mask.count());
+        }
+    }
+
+    #[test]
+    fn extracted_components_match_a_naive_definition(tree in arb_tree(), seed in any::<u64>()) {
+        let n = tree.node_count();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Shuffle every node's ports: a generated tree lists them in id
+        // order, which would hide an extraction that reorders them.
+        let offsets = tree.offsets().to_vec();
+        let mut adjacency = tree.adjacency().to_vec();
+        for v in tree.nodes() {
+            adjacency[offsets[v] as usize..offsets[v + 1] as usize].shuffle(&mut rng);
+        }
+        let tree = Tree::from_csr(offsets, adjacency).unwrap();
+        let density = rng.gen_range(0.1..1.0);
+        let mask = NodeMask::from_nodes(n, tree.nodes().filter(|_| rng.gen_bool(density)));
+        // The reference: one search per component, started at its smallest
+        // member, in increasing order of that member.
+        let mut covered = vec![false; n];
+        let mut expected = Vec::new();
+        for start in mask.iter() {
+            if !covered[start] {
+                let (order, _, _) = naive_bfs(&tree, &[start], Some(&mask), Bfs::UNBOUNDED);
+                for &v in &order {
+                    covered[v] = true;
+                }
+                expected.push(order);
+            }
+        }
+        let components: Vec<_> = extract_components(&tree, &mask).collect();
+        prop_assert_eq!(components.len(), expected.len());
+        for (comp, nodes) in components.iter().zip(&expected) {
+            prop_assert_eq!(&comp.nodes, nodes);
+            prop_assert_eq!(comp.tree.node_count(), nodes.len());
+            for (i, &v) in nodes.iter().enumerate() {
+                let ports: Vec<u32> = tree
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| mask.contains(w as usize))
+                    .map(|&w| nodes.iter().position(|&u| u == w as usize).unwrap() as u32)
+                    .collect();
+                prop_assert_eq!(comp.tree.neighbors(i), &ports[..], "ports of {}", v);
+            }
+        }
+
+        // Dropping the members of induced degree above 2 leaves paths, each
+        // listed end to end from its smaller endpoint, in component order.
+        let path_mask = NodeMask::from_nodes(n, mask.iter().filter(|&v| mask.induced_degree(&tree, v) <= 2));
+        let paths: Vec<Vec<usize>> = induced_paths(&tree, &path_mask);
+        let path_components: Vec<Vec<usize>> = extract_components(&tree, &path_mask).map(|c| c.nodes).collect();
+        prop_assert_eq!(paths.len(), path_components.len());
+        for (path, comp) in paths.iter().zip(&path_components) {
+            let mut sorted = path.clone();
+            sorted.sort_unstable();
+            let mut members = comp.clone();
+            members.sort_unstable();
+            prop_assert_eq!(sorted, members);
+            for pair in path.windows(2) {
+                prop_assert!(tree.neighbors(pair[0]).contains(&(pair[1] as u32)));
+            }
+            let ends = (path[0], *path.last().unwrap());
+            prop_assert!(path.len() == 1 || ends.0 < ends.1, "path {:?} starts at its larger end", path);
         }
     }
 

@@ -338,7 +338,10 @@ fn ensure_supported(algo: &dyn Algorithm, instance: &Instance) -> Result<(), Har
 }
 
 /// Checks that adjacent nodes carry distinct colors.
-fn check_proper<T: PartialEq + std::fmt::Debug>(tree: &Tree, colors: &[T]) -> Result<(), String> {
+pub(crate) fn check_proper<T: PartialEq + std::fmt::Debug>(
+    tree: &Tree,
+    colors: &[T],
+) -> Result<(), String> {
     for (u, v) in tree.edges() {
         if colors[u] == colors[v] {
             return Err(format!(

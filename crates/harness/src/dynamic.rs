@@ -39,13 +39,14 @@
 //! spec's size parameter and rebuilds, so every solver of the registry can
 //! ride the same script/driver machinery.
 
+use crate::adapters::check_proper;
 use crate::algorithm::{run_timed, RunConfig, RunRecord, SessionScope};
 use crate::instance::{HarnessError, Instance, InstanceKind, InstanceSpec};
 use crate::registry::resolver;
 use crate::Algorithm;
 use lcl_core::churn::ChurnScript;
-use lcl_graph::surgery::{churn_batch, extract_components, OpWeights, ShapeDiscipline};
-use lcl_graph::{Bfs, NodeId, Tree};
+use lcl_graph::surgery::{churn_batch, OpWeights, ShapeDiscipline};
+use lcl_graph::{extract_components, Bfs, NodeId, NodeMask, Tree};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -469,7 +470,8 @@ impl DynamicSession {
         }
         let mut cfg = self.cfg.clone().without_verify();
         let mut patch: Vec<(NodeId, u64, u64)> = Vec::new();
-        for comp in extract_components(&self.tree, region) {
+        let region_mask = NodeMask::from_nodes(n, region.iter().copied());
+        for comp in extract_components(&self.tree, &region_mask) {
             let spec = InstanceSpec::Churned {
                 base: Box::new(self.base.clone()),
                 batch: self.batch,
@@ -522,18 +524,7 @@ impl DynamicSession {
                 }
             }
         }
-        for v in 0..self.tree.node_count() {
-            for &w in self.tree.neighbors(v) {
-                let w = w as usize;
-                if v < w && self.labels[v] == self.labels[w] {
-                    return Err(fail(format!(
-                        "edge ({v}, {w}) is monochromatic after splice (color {})",
-                        self.labels[v]
-                    )));
-                }
-            }
-        }
-        Ok(())
+        check_proper(&self.tree, &self.labels).map_err(|edge| fail(format!("{edge} after splice")))
     }
 
     /// Steps through every remaining batch of the script.

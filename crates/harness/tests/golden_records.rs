@@ -88,7 +88,9 @@ fn run_records_serialize_byte_stably() {
 /// Fixtures pinned on an explicit spec rather than on a solver's smallest
 /// one: one per adversarial shape family, each run by a free-tree solver
 /// that supports the `Adversarial` kind, and the three weighted solvers at
-/// hierarchy depth k = 3, which the registry fixtures pin only at k = 2.
+/// hierarchy depth k = 3, which the registry fixtures pin only at k = 2
+/// (the weight-augmented solver also at Δ = 4, k = 4, whose weight
+/// components it extracts as standalone trees).
 /// Same `UPDATE_GOLDEN=1` regeneration protocol as the registry fixtures.
 fn spec_golden_cases() -> Vec<(&'static str, &'static str, InstanceSpec)> {
     vec![
@@ -158,6 +160,15 @@ fn spec_golden_cases() -> Vec<(&'static str, &'static str, InstanceSpec)> {
                 n: 2_000,
                 delta: 5,
                 k: 3,
+            },
+        ),
+        (
+            "weight-augmented-d4-k4",
+            "weight-augmented",
+            InstanceSpec::WeightedUnit {
+                n: 2_000,
+                delta: 4,
+                k: 4,
             },
         ),
     ]

@@ -160,57 +160,32 @@ impl Request {
             id: None,
             message: m,
         })?;
+        let wire = |message: String| WireError {
+            id: Some(id),
+            message,
+        };
         match op.as_str() {
             "classify" => Ok(Request::Classify {
                 id,
-                problem: parse_problem(&value).map_err(|m| WireError {
-                    id: Some(id),
-                    message: m,
-                })?,
+                problem: parse_problem(&value).map_err(wire)?,
             }),
             "solve" => Ok(Request::Solve {
                 id,
-                problem: parse_problem(&value).map_err(|m| WireError {
-                    id: Some(id),
-                    message: m,
-                })?,
+                problem: parse_problem(&value).map_err(wire)?,
                 n: opt_u64(&value, "n")
-                    .map_err(|m| WireError {
-                        id: Some(id),
-                        message: m,
-                    })?
+                    .map_err(wire)?
                     .map_or(DEFAULT_N, |v| v as usize),
                 seed: opt_u64(&value, "seed")
-                    .map_err(|m| WireError {
-                        id: Some(id),
-                        message: m,
-                    })?
+                    .map_err(wire)?
                     .unwrap_or(DEFAULT_SEED),
-                detail: opt_bool(&value, "detail")
-                    .map_err(|m| WireError {
-                        id: Some(id),
-                        message: m,
-                    })?
-                    .unwrap_or(false),
-                shards: opt_u64(&value, "shards").map_err(|m| WireError {
-                    id: Some(id),
-                    message: m,
-                })?,
-                max_resident: opt_u64(&value, "max_resident").map_err(|m| WireError {
-                    id: Some(id),
-                    message: m,
-                })?,
-                packing: opt_bool(&value, "packing").map_err(|m| WireError {
-                    id: Some(id),
-                    message: m,
-                })?,
+                detail: opt_bool(&value, "detail").map_err(wire)?.unwrap_or(false),
+                shards: opt_u64(&value, "shards").map_err(wire)?,
+                max_resident: opt_u64(&value, "max_resident").map_err(wire)?,
+                packing: opt_bool(&value, "packing").map_err(wire)?,
             }),
             "stats" => Ok(Request::Stats { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
-            other => Err(WireError {
-                id: Some(id),
-                message: format!("unknown op `{other}`"),
-            }),
+            other => Err(wire(format!("unknown op `{other}`"))),
         }
     }
 }
